@@ -1,10 +1,18 @@
-"""Exact scalars: rationals, real quadratic extensions Q(sqrt d), integer polynomials.
+"""Exact scalars: rationals, real quadratic extensions Q(sqrt d), integer polynomials,
+and the one exact ring layer Z / Z[sqrt d].
 
 All downstream matrix work (PSD certificates, ranks, bound enumerations) runs on
 these types; no floating point enters any decision.  Rationals are represented by
 ``fractions.Fraction``, which already guarantees the reduced-form / positive
 denominator invariants.  ``QuadExt`` fixes one radicand per value and refuses to
 mix distinct radicands, since no computation here ever needs a compositum field.
+
+Fraction-free work (Bareiss elimination, the saturation search) scales its input
+into a ring: plain ``int`` for rational data, ``ZSqrt`` (a + b*sqrt(d) with int
+a, b) for Q(sqrt d) data.  Both support ``+ - * // ==``, truth and an exact sign
+(``quad_sign``), so one source line serves both rings.  A ring is named by its
+radicand, 0 standing for Z; ``components`` / ``from_components`` convert between
+ring elements and their integer coordinate lists for linear scans.
 """
 
 from __future__ import annotations
@@ -130,18 +138,7 @@ class QuadExt:
 
     # -- order ------------------------------------------------------------
     def sign(self) -> int:
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sb == 0:
-            return sa
-        if sa == 0 or sa == sb:
-            return sb
-        # a and b*sqrt(d) pull in opposite directions: compare a^2 vs b^2 d
-        lhs = self.a * self.a
-        rhs = self.b * self.b * self.d
-        if lhs == rhs:
-            return 0
-        return sa if lhs > rhs else sb
+        return _sign_ab(self.a, self.b, self.d)
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
@@ -188,9 +185,136 @@ class QuadExt:
         return format_scalar(self)
 
 
-def quad_sign(x: Scalar) -> int:
-    """Exact sign in {-1, 0, +1} of a rational or quadratic scalar."""
-    if isinstance(x, QuadExt):
+def _sign_ab(a, b, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for rational (or int) a, b."""
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sb == 0:
+        return sa
+    if sa == 0 or sa == sb:
+        return sb
+    # a and b*sqrt(d) pull in opposite directions: compare a^2 vs b^2 d
+    lhs = a * a
+    rhs = b * b * d
+    if lhs == rhs:
+        return 0
+    return sa if lhs > rhs else sb
+
+
+class ZSqrt:
+    """The element a + b*sqrt(d) of the ring Z[sqrt d], with int a, b.
+
+    One radicand per computation (not checked); ints mix in as b = 0.  ``//``
+    is exact division: it raises ArithmeticError unless the quotient lies in
+    Z[sqrt d], so a fraction-free algorithm cannot silently round.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: int, b: int, d: int):
+        self.a = a
+        self.b = b
+        self.d = d
+
+    def __add__(self, o):
+        if isinstance(o, int):
+            return ZSqrt(self.a + o, self.b, self.d)
+        return ZSqrt(self.a + o.a, self.b + o.b, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ZSqrt(-self.a, -self.b, self.d)
+
+    def __sub__(self, o):
+        if isinstance(o, int):
+            return ZSqrt(self.a - o, self.b, self.d)
+        return ZSqrt(self.a - o.a, self.b - o.b, self.d)
+
+    def __rsub__(self, o):
+        return ZSqrt(o - self.a, -self.b, self.d)
+
+    def __mul__(self, o):
+        if isinstance(o, int):
+            return ZSqrt(self.a * o, self.b * o, self.d)
+        a, b, oa, ob = self.a, self.b, o.a, o.b
+        return ZSqrt(a * oa + b * ob * self.d, a * ob + b * oa, self.d)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, o):
+        if isinstance(o, int):
+            nrm, rx, ry = o, self.a, self.b
+        else:
+            oa, ob, d = o.a, o.b, self.d
+            nrm = oa * oa - ob * ob * d  # zero only for o = 0, d not a square
+            rx = self.a * oa - self.b * ob * d
+            ry = self.b * oa - self.a * ob
+        if nrm == 0:
+            raise ZeroDivisionError("division by zero in Z[sqrt d]")
+        qx, mx = divmod(rx, nrm)
+        qy, my = divmod(ry, nrm)
+        if mx or my:
+            raise ArithmeticError(f"{self!r} is not divisible by {o!r} in Z[sqrt {self.d}]")
+        return ZSqrt(qx, qy, self.d)
+
+    def __eq__(self, o):
+        if isinstance(o, ZSqrt):
+            return self.a == o.a and self.b == o.b
+        if isinstance(o, int):
+            return self.b == 0 and self.a == o
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.d))
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def sign(self) -> int:
+        return _sign_ab(self.a, self.b, self.d)
+
+    def __repr__(self):
+        return f"ZSqrt({self.a}, {self.b}, {self.d})"
+
+
+def ring_element(parts, d: int):
+    """The element of Z (d = 0) or Z[sqrt d] with integer coordinates parts:
+    (a,) or (a, b) for a + b*sqrt(d); over Z only parts[0] is read."""
+    return ZSqrt(parts[0], parts[1], d) if d else parts[0]
+
+
+def ring_parts(x, d: int) -> tuple[int, ...]:
+    """Integer coordinates of a ring element (inverse of ring_element)."""
+    return (x.a, x.b) if d else (x,)
+
+
+def components(xs, d: int) -> list[list[int]]:
+    """Integer coordinate lists of ring elements: [xs] over Z (d = 0), and
+    [[a...], [b...]] over Z[sqrt d]."""
+    if not d:
+        return [list(xs)]
+    return [[x.a for x in xs], [x.b for x in xs]]
+
+
+def from_components(comps, d: int) -> list:
+    """Ring elements from their integer coordinate lists (inverse of components)."""
+    if not d:
+        return list(comps[0])
+    return [ZSqrt(a, b, d) for a, b in zip(*comps)]
+
+
+def ring_to_scalar(x) -> Scalar:
+    """A ring element as an exact scalar: Fraction for Z, QuadExt for Z[sqrt d]."""
+    if isinstance(x, ZSqrt):
+        return QuadExt(Fraction(x.a), Fraction(x.b), x.d)
+    return Fraction(x)
+
+
+def quad_sign(x) -> int:
+    """Exact sign in {-1, 0, +1} of a rational or quadratic scalar, or of a
+    ring element."""
+    if isinstance(x, (QuadExt, ZSqrt)):
         return x.sign()
     return (x > 0) - (x < 0)
 

@@ -1,15 +1,17 @@
 """Isomorphism-class enumeration of small graphs by layered extension.
 
 Each n-vertex class is grown from an (n-1)-vertex class by attaching one new
-vertex; duplicates are removed with color-refinement invariants plus an exact
-backtracking isomorphism test.  Two filters keep the candidate stream small:
+vertex (``attach_vertex``, one ladder step); duplicates are removed with
+color-refinement invariants plus an exact backtracking isomorphism test.  Two
+filters keep the candidate stream small:
 
 * a completeness-preserving representative rule (the new vertex must land in
   the minimum refinement color: deleting a minimum-color vertex of any target
   class reaches a stored parent, so every class is still produced), and
-* an optional hereditary pruning predicate (used for positive-definite Gram
-  pruning: principal submatrices of PD matrices are PD, so pruned parents
-  cannot have unpruned children).
+* hereditary pruning by the caller, which chooses the children it offers (the
+  saturation search offers only positive-definite Gram extensions: principal
+  submatrices of PD matrices are PD, so pruned parents cannot have unpruned
+  children).
 
 Adjacency is the bitmask-row form of seidel.Graph.
 """
@@ -17,7 +19,7 @@ Adjacency is the bitmask-row form of seidel.Graph.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from equiangular.seidel import Graph, bits
 
@@ -26,12 +28,23 @@ AdjList = list[int]
 
 def refine_colors(nv: int, adj: Sequence[int], rounds: int = 3) -> list[int]:
     """Iterated neighborhood color refinement; colors are canonical integers
-    (sorted-signature rank), so results are machine-independent."""
-    col = [adj[v].bit_count() for v in range(nv)]
+    (sorted-signature rank), so results are machine-independent.
+
+    A signature is (color, sorted neighbor colors).  Vertices of one color
+    have one degree, and among equal-length sorted tuples the order is that
+    of the neighbor color counts (count of color 0 first) reversed.  So the
+    signature is encoded as color*top - sum of weight[c] over the neighbor
+    colors c, with weight[c] = 2^(shift*(nv-1-c)) exceeding every count
+    below it; the integers sort exactly like the tuples, without a sort per
+    vertex."""
+    span = range(nv)
+    col = [adj[v].bit_count() for v in span]
+    nbrs = [[u for u in span if adj[v] >> u & 1] for v in span]
+    shift = nv.bit_length()
+    weight = [1 << shift * (nv - 1 - c) for c in span]
+    top = 1 << shift * nv
     for _ in range(rounds):
-        sig = [
-            (col[v], tuple(sorted(col[u] for u in bits(adj[v])))) for v in range(nv)
-        ]
+        sig = [c * top - sum([weight[col[u]] for u in nb]) for c, nb in zip(col, nbrs)]
         rankof = {s: i for i, s in enumerate(sorted(set(sig)))}
         new = [rankof[s] for s in sig]
         if new == col:
@@ -128,28 +141,26 @@ class ClassSet:
         return True
 
 
-def extend_classes(
-    parents: Iterable[AdjList],
-    k: int,
-    neighborhoods: Callable[[AdjList], Iterable[int]] | None = None,
-) -> list[AdjList]:
-    """All (k+1)-vertex classes reachable by adding one vertex to the parents.
+def attach_vertex(k: int, children: Iterable[tuple]) -> Iterator[tuple]:
+    """One ladder step.  ``children`` yields (parent adjacency on k vertices,
+    neighbor mask nb of the new vertex k, payload); yields (payload, child
+    adjacency) for each child that obeys the representative rule and starts a
+    new (k+1)-vertex isomorphism class, in input order."""
+    classes = ClassSet(k + 1)
+    for adj, nb, payload in children:
+        na = [a | ((nb >> i & 1) << k) for i, a in enumerate(adj)]
+        na.append(nb)
+        col = refine_colors(k + 1, na)
+        if col[k] != 0:
+            continue  # representative rule: new vertex must be of minimum color
+        if classes.add(na, col):
+            yield payload, na
 
-    ``neighborhoods`` restricts the neighbor masks tried for each parent (used
-    for PD pruning); default is all 2^k masks.
-    """
-    out = ClassSet(k + 1)
-    for adj in parents:
-        masks = range(1 << k) if neighborhoods is None else neighborhoods(adj)
-        for nb in masks:
-            na = [a | ((nb >> i & 1) << k) for i, a in enumerate(adj)]
-            na.append(nb)
-            col = refine_colors(k + 1, na)
-            if col[k] != 0:
-                # representative rule: new vertex must be of minimum color
-                continue
-            out.add(na, col)
-    return out.members
+
+def extend_classes(parents: Iterable[AdjList], k: int) -> list[AdjList]:
+    """All (k+1)-vertex classes reachable by adding one vertex to the parents."""
+    children = ((adj, nb, None) for adj in parents for nb in range(1 << k))
+    return [na for _, na in attach_vertex(k, children)]
 
 
 def graph_classes(n: int) -> list[Graph]:

@@ -1,12 +1,14 @@
 """Exact symmetric-matrix algebra: PSD certificates, Schur complements, ranks,
 characteristic polynomials, and closed forms for aI + bJ matrices.
 
-The PSD decision runs a symmetric elimination with diagonal pivoting.  Over the
-rationals the matrix is first scaled to integers and eliminated fraction-free
-(Bareiss updates), so pivot signs are signs of leading principal minors of a
-symmetric reordering; over Q(sqrt d) the same elimination runs with true field
-division and exact sign tests.  An indefinite verdict always carries a witness
-vector v with v^T M v < 0, re-checked against the input before returning.
+The PSD decision runs a symmetric elimination with diagonal pivoting.  The
+matrix is first scaled into a ring, Z for rational entries and Z[sqrt d] for
+entries in Q(sqrt d), and eliminated fraction-free (Bareiss updates, exact
+divisions), so pivot signs are signs of leading principal minors of a symmetric
+reordering.  Ranks use the same fraction-free elimination with full pivoting.
+The same source lines serve both rings.  An indefinite verdict always carries a
+witness vector v with v^T M v < 0, re-checked against the input before
+returning.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ from equiangular.exactnum import (
     IntPoly,
     QuadExt,
     Scalar,
+    ZSqrt,
     format_scalar,
     parse_scalar,
     quad_sign,
+    ring_to_scalar,
 )
 
 POSITIVE_DEFINITE = "positive_definite"
@@ -94,27 +98,22 @@ class SymMatrix:
                     return x.d
         return None
 
-    def integer_scaled(self) -> tuple[list[list[int]], int] | None:
-        """If all entries are rational, return (c*M as int rows, c) for the
-        least positive common denominator c; else None."""
-        denoms = []
-        for r in self.rows:
-            for x in r:
-                if isinstance(x, QuadExt):
-                    if x.b != 0:
-                        return None
-                    denoms.append(x.a.denominator)
-                else:
-                    denoms.append(x.denominator)
-        c = lcm(*denoms) if denoms else 1
-        out = []
-        for r in self.rows:
-            row = []
-            for x in r:
-                f = x.a if isinstance(x, QuadExt) else x
-                row.append(int(f * c))
-            out.append(row)
-        return out, c
+    def integral_scaled(self) -> tuple[list[list], int]:
+        """(c*M, c) for the least positive integer c that puts every entry in
+        the ring: int rows if all entries are rational, ZSqrt rows over
+        Z[sqrt d] otherwise."""
+        d = self.radicand()
+        zero = Fraction(0)
+
+        def coords(x):
+            return (x.a, x.b) if isinstance(x, QuadExt) else (x, zero)
+
+        c = lcm(*{y.denominator for r in self.rows for x in r for y in coords(x)})
+        if d is None:
+            return [[int(coords(x)[0] * c) for x in r] for r in self.rows], c
+        return [
+            [ZSqrt(int(a * c), int(b * c), d) for a, b in map(coords, r)] for r in self.rows
+        ], c
 
     # -- serialization ------------------------------------------------------
     def to_json(self) -> str:
@@ -173,16 +172,12 @@ def _backpropagate(steps, witness: dict):
     pivot steps; only the ratio column/pivot is used, so fraction-free scaling
     of the intermediate matrices does not matter."""
     for pivot_idx, pivot_val, column in reversed(steps):
-        acc = 0
+        acc = Fraction(0)
         for j, bj in column.items():
             wj = witness.get(j)
             if wj:
-                acc = acc + bj * wj
-        if isinstance(acc, int):
-            acc = Fraction(acc)
-        if isinstance(pivot_val, int):
-            pivot_val = Fraction(pivot_val)
-        witness[pivot_idx] = -acc / pivot_val
+                acc = acc + ring_to_scalar(bj) * wj
+        witness[pivot_idx] = -acc / ring_to_scalar(pivot_val)
     return witness
 
 
@@ -194,37 +189,27 @@ def psd_check(M: SymMatrix) -> PsdCertificate:
     nonzero off-diagonal entry in the fully zero-diagonal case, certifies
     indefiniteness and yields an explicit witness.
     """
-    scaled = M.integer_scaled()
-    if scaled is not None:
-        rows, _ = scaled
-        integer_mode = True
-    else:
-        rows = [list(r) for r in M.rows]
-        integer_mode = False
-
+    rows, _ = M.integral_scaled()
     n = M.n
     active = list(range(n))
     steps = []  # (pivot index, pivot value, {active j: M[pivot][j]})
     prev = 1
 
-    def sgn(x):
-        return (x > 0) - (x < 0) if isinstance(x, int) else quad_sign(x)
-
     while active:
         pivot = None
         for p in active:
-            if sgn(rows[p][p]) > 0:
+            if quad_sign(rows[p][p]) > 0:
                 pivot = p
                 break
         if pivot is None:
-            neg = next((p for p in active if sgn(rows[p][p]) < 0), None)
+            neg = next((p for p in active if quad_sign(rows[p][p]) < 0), None)
             if neg is not None:
                 witness = _backpropagate(steps, {neg: Fraction(1)})
             else:
                 offdiag = None
                 for ii, i in enumerate(active):
                     for j in active[ii + 1 :]:
-                        if sgn(rows[i][j]) != 0:
+                        if quad_sign(rows[i][j]) != 0:
                             offdiag = (i, j)
                             break
                     if offdiag:
@@ -239,32 +224,24 @@ def psd_check(M: SymMatrix) -> PsdCertificate:
                     return cert
                 i, j = offdiag
                 witness = _backpropagate(
-                    steps, {i: Fraction(1), j: Fraction(-sgn(rows[i][j]))}
+                    steps, {i: Fraction(1), j: Fraction(-quad_sign(rows[i][j]))}
                 )
             vec = tuple(witness.get(k, Fraction(0)) for k in range(n))
-            check = _quadratic_form(M, vec)
-            assert quad_sign(check) < 0, "internal error: witness failed re-check"
+            if quad_sign(_quadratic_form(M, vec)) >= 0:
+                raise AssertionError("internal error: witness failed re-check")
             return PsdCertificate(INDEFINITE, rank_of(M), witness=vec)
 
         a = rows[pivot][pivot]
         rest = [j for j in active if j != pivot]
         column = {j: rows[pivot][j] for j in rest}
         steps.append((pivot, a, column))
-        if integer_mode:
-            for x, i in enumerate(rest):
-                ri, rpi = rows[i], rows[i][pivot]
-                for j in rest[x:]:
-                    val = (a * ri[j] - rpi * rows[pivot][j]) // prev
-                    rows[i][j] = val
-                    rows[j][i] = val
-            prev = a
-        else:
-            for x, i in enumerate(rest):
-                ri, rpi = rows[i], rows[i][pivot]
-                for j in rest[x:]:
-                    val = ri[j] - rpi * rows[pivot][j] / a
-                    rows[i][j] = val
-                    rows[j][i] = val
+        for x, i in enumerate(rest):
+            ri, rpi = rows[i], rows[i][pivot]
+            for j in rest[x:]:
+                val = (a * ri[j] - rpi * rows[pivot][j]) // prev
+                rows[i][j] = val
+                rows[j][i] = val
+        prev = a
         active = rest
 
     return PsdCertificate(
@@ -273,18 +250,9 @@ def psd_check(M: SymMatrix) -> PsdCertificate:
 
 
 def rank_of(M: SymMatrix) -> int:
-    """Exact rank by fraction-free elimination with full pivoting."""
-    scaled = M.integer_scaled()
-    if scaled is not None:
-        rows, _ = scaled
-        return _rank_int(rows)
-    return _rank_field([list(r) for r in M.rows])
-
-
-rank = rank_of
-
-
-def _rank_int(rows: list[list[int]]) -> int:
+    """Exact rank by fraction-free elimination with full pivoting, over Z or
+    Z[sqrt d]."""
+    rows, _ = M.integral_scaled()
     n = len(rows)
     row_idx = list(range(n))
     col_idx = list(range(n))
@@ -308,8 +276,8 @@ def _rank_int(rows: list[list[int]]) -> int:
         prow = rows[pr]
         for i in ri:
             rc = rows[i][pc]
-            if rc == 0 and prev == 1:
-                continue
+            if not rc and a == prev:
+                continue  # the update would leave this row unchanged
             r = rows[i]
             for j in cj:
                 r[j] = (a * r[j] - rc * prow[j]) // prev
@@ -318,33 +286,7 @@ def _rank_int(rows: list[list[int]]) -> int:
     return rank
 
 
-def _rank_field(rows) -> int:
-    n = len(rows)
-    row_idx = list(range(n))
-    col_idx = list(range(n))
-    rank = 0
-    while True:
-        pr = pc = None
-        for i in row_idx:
-            for j in col_idx:
-                if quad_sign(rows[i][j]) != 0:
-                    pr, pc = i, j
-                    break
-            if pr is not None:
-                break
-        if pr is None:
-            return rank
-        rank += 1
-        a = rows[pr][pc]
-        ri = [i for i in row_idx if i != pr]
-        cj = [j for j in col_idx if j != pc]
-        for i in ri:
-            f = rows[i][pc] / a
-            if quad_sign(f) == 0:
-                continue
-            for j in cj:
-                rows[i][j] = rows[i][j] - f * rows[pr][j]
-        row_idx, col_idx = ri, cj
+rank = rank_of
 
 
 def solve(M: SymMatrix, rhs_columns: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
@@ -431,10 +373,9 @@ def aI_bJ_inverse(a: Scalar, b: Scalar, k: int) -> tuple[Scalar, Scalar]:
 def char_poly(M: SymMatrix) -> IntPoly:
     """Characteristic polynomial of an integer symmetric matrix, monic of
     degree n, computed by the integer-preserving Faddeev-LeVerrier recurrence."""
-    scaled = M.integer_scaled()
-    if scaled is None or scaled[1] != 1:
+    a, c = M.integral_scaled()
+    if c != 1 or M.radicand() is not None:
         raise ValueError("integer entries required")
-    a, _ = scaled
     n = M.n
     coeffs = [1]  # c_0 = 1 for x^n
     mk = [row[:] for row in a]

@@ -9,32 +9,47 @@ enumerated by the layered generator in graphenum; classes whose Gram is not
 positive definite are pruned hereditarily (principal submatrices of PD
 matrices are PD).
 
-All search arithmetic runs on the scaled Gram H = corner*G whose entries lie
-in Z for rational angles (corner = denominator) or in Z[sqrt d] for quadratic
-angles (corner clears denominators); Z[sqrt d] values are integer coefficient
-pairs.  Each class carries det(H) and adj(H) incrementally: extending
-[[H, b],[b^T, g]] gives det' = g*det - b^T adj b and an adjugate assembled
-from adj and u = adj b in O(k^2) ring operations.  With b = bscale*eps for a
-sign vector eps, the three recurring tests are exact ring comparisons:
+All search arithmetic runs on the scaled Gram H = corner*G, whose entries lie
+in one exact ring (see exactnum): Z for rational angles (corner = denominator)
+and Z[sqrt d] for quadratic ones (corner clears denominators).  Each class
+carries det(H) and adj(H) incrementally: extending [[H, b],[b^T, g]] gives
+det' = g*det - b^T adj b and an adjugate assembled from adj and u = adj b in
+O(k^2) ring operations.  With b = bscale*eps for a sign vector eps, the three
+recurring tests are exact ring comparisons:
 
     positive definite extension:  corner*det - bscale^2 * (eps^T adj eps) > 0
-    unit candidate line:          bscale^2 * (eps^T adj eps) == corner*det
-    compatible candidate pair:    bscale * (adj eps_i . eps_j) == +-det
+    unit candidate line:          eps^T adj eps == corner*det / bscale^2
+    compatible candidate pair:    adj eps_i . eps_j == +-det / bscale
 
-Sign-vector scans walk eps in Gray-code order, updating adj@eps in O(r).
+Sign-vector scans walk eps in Gray-code order, updating adj@eps in O(r).  The
+walk is linear, so it runs on the integer coordinates of the ring: one array
+over Z, two over Z[sqrt d], and the last two tests compare those coordinates
+with targets computed once per class (none if the quotient is not in the ring).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from equiangular import bounds
 from equiangular.bounds import BoundReport
-from equiangular.exactnum import QuadExt, Scalar, format_scalar
-from equiangular.graphenum import ClassSet, find_isomorphism, graph_classes, refine_colors
+from equiangular.exactnum import (
+    QuadExt,
+    Scalar,
+    components,
+    format_scalar,
+    from_components,
+    quad_sign,
+    ring_element,
+    ring_parts,
+    ring_to_scalar,
+)
+from equiangular.graphenum import attach_vertex, find_isomorphism, graph_classes
 from equiangular.linalg import SymMatrix
 from equiangular.seidel import (
     EquiangularSet,
@@ -47,50 +62,12 @@ from equiangular.seidel import (
     switching_normalize,
 )
 
-# -- Z[sqrt d] as integer pairs ------------------------------------------------
-
-
-def _pmul(a, b, d):
-    ax, ay = a
-    bx, by = b
-    return (ax * bx + ay * by * d, ax * by + ay * bx)
-
-
-def _pdiv(a, b, d):
-    """Exact division in Z[sqrt d]; asserts divisibility."""
-    ax, ay = a
-    bx, by = b
-    nrm = bx * bx - by * by * d
-    rx = ax * bx - ay * by * d
-    ry = ay * bx - ax * by
-    assert nrm != 0 and rx % nrm == 0 and ry % nrm == 0
-    return (rx // nrm, ry // nrm)
-
-
-def _psign(a, d) -> int:
-    ax, ay = a
-    sa = (ax > 0) - (ax < 0)
-    sb = (ay > 0) - (ay < 0)
-    if sb == 0:
-        return sa
-    if sa == 0 or sa == sb:
-        return sb
-    lhs = ax * ax
-    rhs = ay * ay * d
-    if lhs == rhs:
-        return 0
-    return sa if lhs > rhs else sb
-
-
-def _to_quadext(a, d) -> QuadExt:
-    return QuadExt(Fraction(a[0]), Fraction(a[1]), d)
-
 
 @dataclass(frozen=True)
 class _Mode:
-    """Scaling data; kind "int" for rational alpha, "pair" for Q(sqrt d)."""
+    """Scaling data in the search ring: Z (d = 0) for rational alpha, else
+    Z[sqrt d]."""
 
-    kind: str
     corner: object
     bscale: object
     bscale_sq: object
@@ -99,17 +76,21 @@ class _Mode:
 
 def _alpha_mode(alpha: Scalar) -> _Mode:
     if isinstance(alpha, QuadExt) and alpha.b != 0:
-        c = lcm(alpha.a.denominator, alpha.b.denominator)
-        bx, by = int(c * alpha.a), int(c * alpha.b)
-        return _Mode(
-            "pair",
-            corner=(c, 0),
-            bscale=(bx, by),
-            bscale_sq=_pmul((bx, by), (bx, by), alpha.d),
-            d=alpha.d,
-        )
-    f = Fraction(alpha.a) if isinstance(alpha, QuadExt) else Fraction(alpha)
-    return _Mode("int", corner=f.denominator, bscale=f.numerator, bscale_sq=f.numerator**2)
+        a, b, d = alpha.a, alpha.b, alpha.d
+    else:
+        a, b, d = Fraction(alpha.a if isinstance(alpha, QuadExt) else alpha), Fraction(0), 0
+    c = lcm(a.denominator, b.denominator)
+    bscale = ring_element((int(c * a), int(c * b)), d)
+    return _Mode(ring_element((c, 0), d), bscale, bscale * bscale, d)
+
+
+def _exact_quotient(num, den):
+    """num / den if it lies in the ring, else None."""
+    try:
+        q = num // den  # raises for an inexact quotient in Z[sqrt d]
+    except ArithmeticError:
+        return None
+    return q if q * den == num else None
 
 
 # -- seed data -----------------------------------------------------------------
@@ -119,8 +100,8 @@ def _alpha_mode(alpha: Scalar) -> _Mode:
 class BasisSeed:
     """A positive-definite normalized rank-r basis.
 
-    det and adjugate refer to the scaled Gram H = corner*G; in pair mode their
-    entries are integer coefficient pairs over sqrt(d).
+    det and adjugate refer to the scaled Gram H = corner*G, with entries in the
+    search ring of mode (int, or ZSqrt over Z[sqrt d]).
     """
 
     r: int
@@ -165,24 +146,27 @@ class BasisSeed:
             rows.append(row)
         return SeidelMatrix(tuple(tuple(r) for r in rows))
 
-    def det_scalar(self) -> Scalar:
-        if self.mode.kind == "pair":
-            return _to_quadext(self.det, self.mode.d)
-        return Fraction(self.det)
-
 
 @dataclass(frozen=True)
 class CandidateLine:
     sign_vector: tuple[int, ...]
-    coords: tuple[Scalar, ...]
+    u: list = field(repr=False, compare=False)  # adj(H) @ sign_vector, integer coordinates
+    seed: BasisSeed = field(repr=False, compare=False)
+
+    @cached_property
+    def coords(self) -> tuple[Scalar, ...]:
+        """Exact coordinates in the basis, bscale * u / det (computed on first read)."""
+        mode = self.seed.mode
+        det = ring_to_scalar(self.seed.det)
+        return tuple(
+            ring_to_scalar(mode.bscale * x) / det for x in from_components(self.u, mode.d)
+        )
 
 
 @dataclass
 class CandidateSet:
     seed: BasisSeed
     lines: list[CandidateLine]
-    _eps: list[tuple[int, ...]] = field(default_factory=list)
-    _u: list[list] = field(default_factory=list)
 
 
 @dataclass
@@ -208,150 +192,137 @@ class EnumerationResult:
 
 
 def _root_record(mode: _Mode) -> dict:
-    one = 1 if mode.kind == "int" else (1, 0)
-    return {"masks": [], "det": mode.corner, "adj": [[one]]}
+    return {"masks": [], "det": mode.corner, "adj": [[ring_element((1, 0), mode.d)]]}
 
 
 def _extend_record(mode: _Mode, rec: dict, nb: int, quad, u: list) -> dict:
+    """Record of the class grown by a vertex with neighbor mask nb; quad and u
+    are eps^T adj eps and adj @ eps in integer coordinates."""
     k = len(rec["masks"])
     n = k + 1
     masks = [m | ((nb >> i & 1) << k) for i, m in enumerate(rec["masks"])]
     masks.append(nb)
     det = rec["det"]
     adj = rec["adj"]
-    if mode.kind == "int":
-        det_new = mode.corner * det - mode.bscale_sq * quad
-        su = [mode.bscale * x for x in u]
-        top = [
-            [(det_new * adj[i][j] + su[i] * su[j]) // det for j in range(n)]
-            for i in range(n)
-        ]
-        new_adj = [top[i] + [-su[i]] for i in range(n)]
-        new_adj.append([-x for x in su] + [det])
-    else:
-        d = mode.d
-        det_new = _psub(_pmul(mode.corner, det, d), _pmul(mode.bscale_sq, quad, d))
-        su = [_pmul(mode.bscale, x, d) for x in u]
-        top = [
-            [
-                _pdiv(_padd(_pmul(det_new, adj[i][j], d), _pmul(su[i], su[j], d)), det, d)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        new_adj = [top[i] + [(-su[i][0], -su[i][1])] for i in range(n)]
-        new_adj.append([(-x[0], -x[1]) for x in su] + [det])
+    det_new = mode.corner * det - mode.bscale_sq * ring_element(quad, mode.d)
+    su = [mode.bscale * x for x in from_components(u, mode.d)]
+    top = [
+        [(det_new * adj[i][j] + su[i] * su[j]) // det for j in range(n)]
+        for i in range(n)
+    ]
+    new_adj = [top[i] + [-su[i]] for i in range(n)]
+    new_adj.append([-x for x in su] + [det])
     return {"masks": masks, "det": det_new, "adj": new_adj}
 
 
-def _padd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
+def _adj_components(adj: list, d: int) -> list[list[list[int]]]:
+    """The integer coordinate matrices of a ring matrix, one per coordinate."""
+    return [list(rows) for rows in zip(*(components(row, d) for row in adj))]
 
 
-def _psub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
+def _gray_walk(m: list[list[int]], lo: int, hi: int) -> list[tuple]:
+    """Gray-code walk over the sign vectors b of length n with b[0] = +1 for
+    one integer symmetric matrix m.  Keeps u = m b and quad = b^T m b,
+    updating them in O(n) per flip, and returns (mask, [quad], [u]) for every
+    b with lo <= quad < hi; bit i-1 of mask is set when b[i] = -1."""
+    n = len(m)
+    b = [1] * n
+    u = [sum(row) for row in m]  # m @ all-ones
+    quad = sum(u)
+    out = []
+    if lo <= quad < hi:
+        out.append((0, [quad], [u[:]]))
+    nb = 0
+    for g in range(1, 1 << (n - 1)):
+        nb_new = g ^ (g >> 1)
+        i = (nb ^ nb_new).bit_length()  # flipped sign position (>= 1)
+        nb = nb_new
+        delta = -2 * b[i]
+        b[i] = -b[i]
+        ai = m[i]
+        quad += 2 * delta * u[i] + 4 * ai[i]
+        for t in range(n):
+            u[t] += ai[t] * delta
+        if lo <= quad < hi:
+            out.append((nb, [quad], [u[:]]))
+    return out
+
+
+def _ring_walk(adj: list, d: int, bounds=None) -> list[tuple]:
+    """The Gray-code walk over a ring matrix: the walk is linear, so it runs
+    once per integer coordinate (one walk over Z, two over Z[sqrt d]).
+    Returns (mask, quad, u) in integer coordinates for the sign vectors whose
+    quad lies in bounds, one (lo, hi) per coordinate with None for no limit;
+    without bounds, for every sign vector."""
+    walks = []
+    for c, m in enumerate(_adj_components(adj, d)):
+        reach = sum(abs(x) for row in m for x in row)  # |b^T m b| <= reach
+        lo, hi = bounds[c] if bounds else (None, None)
+        walk = _gray_walk(m, -reach if lo is None else lo, reach + 1 if hi is None else hi)
+        if not walk:
+            return []  # no sign vector passes this coordinate
+        walks.append(walk)
+    first, *rest = walks
+    if not rest:
+        return first
+    rest = [{nb: (q, u) for nb, q, u in walk} for walk in rest]
+    out = []
+    for nb, quad, vec in first:
+        for walk in rest:
+            hit = walk.get(nb)
+            if hit is None:
+                break
+            quad += hit[0]
+            vec += hit[1]
+        else:
+            out.append((nb, quad, vec))
+    return out
+
+
+def _sign_vector(mask: int, n: int) -> tuple[int, ...]:
+    return (1,) + tuple(-1 if mask >> i & 1 else 1 for i in range(n - 1))
 
 
 def _pd_neighbor_masks(mode: _Mode, rec: dict) -> list[tuple]:
-    """(mask, quad, u) for every one-vertex extension keeping the Gram PD;
-    Gray-code walk updates the quadratic form eps^T adj eps in O(n)."""
-    adj = rec["adj"]
-    n = len(adj)
-    k = n - 1
-    out = []
-    if mode.kind == "int":
-        thresh = mode.corner * rec["det"]
-        bsq = mode.bscale_sq
-        b = [1] * n
-        f = [sum(row) for row in adj]  # adj @ all-ones
-        quad = sum(f)
-        if bsq * quad < thresh:
-            out.append((0, quad, f[:]))
-        nb = 0
-        for g in range(1, 1 << k):
-            nb_new = g ^ (g >> 1)
-            i = (nb ^ nb_new).bit_length()  # flipped graph bit + 1
-            nb = nb_new
-            delta = -2 * b[i]
-            quad += 2 * delta * f[i] + delta * delta * adj[i][i]
-            ai = adj[i]
-            for t in range(n):
-                f[t] += ai[t] * delta
-            b[i] += delta
-            if bsq * quad < thresh:
-                out.append((nb, quad, f[:]))
-        return out
-    d = mode.d
-    thresh = _pmul(mode.corner, rec["det"], d)
-    bsq = mode.bscale_sq
-    b = [1] * n
-    fx = [sum(adj[i][j][0] for j in range(n)) for i in range(n)]
-    fy = [sum(adj[i][j][1] for j in range(n)) for i in range(n)]
-    qx, qy = sum(fx), sum(fy)
+    """(mask, quad, u) for every one-vertex extension keeping the Gram PD,
+    i.e. with corner*det - bscale^2 * quad > 0."""
+    thresh = mode.corner * rec["det"]
+    bsq, d = mode.bscale_sq, mode.d
+    if not d:  # over Z the test is the bound quad < thresh / bsq (bsq > 0)
+        return _ring_walk(rec["adj"], d, [(None, -(-thresh // bsq))])
+    # over Z[sqrt d] the sign test needs both coordinates of quad
+    return [
+        hit
+        for hit in _ring_walk(rec["adj"], d)
+        if quad_sign(thresh - bsq * ring_element(hit[1], d)) > 0
+    ]
 
-    def accept(qx, qy):
-        return _psign(_psub(thresh, _pmul(bsq, (qx, qy), d)), d) > 0
 
-    if accept(qx, qy):
-        out.append((0, (qx, qy), list(zip(fx, fy))))
-    nb = 0
-    for g in range(1, 1 << k):
-        nb_new = g ^ (g >> 1)
-        i = (nb ^ nb_new).bit_length()
-        nb = nb_new
-        delta = -2 * b[i]
-        ax, ay = adj[i][i]
-        qx += 2 * delta * fx[i] + delta * delta * ax
-        qy += 2 * delta * fy[i] + delta * delta * ay
-        ai = adj[i]
-        for t in range(n):
-            fx[t] += ai[t][0] * delta
-            fy[t] += ai[t][1] * delta
-        b[i] += delta
-        if accept(qx, qy):
-            out.append((nb, (qx, qy), list(zip(fx, fy))))
-    return out
+def _pd_children(mode: _Mode, level: list[dict]):
+    """Every PD one-vertex extension of the level's records, as attach_vertex
+    input (parent graph, neighbor mask, (record, mask, quad, u))."""
+    for rec in level:
+        for nb, quad, u in _pd_neighbor_masks(mode, rec):
+            yield rec["masks"], nb, (rec, nb, quad, u)
 
 
 def _pd_ladder(mode: _Mode, graph_size: int) -> list[dict]:
     """PD basis class records whose non-root graphs have graph_size vertices."""
     level = [_root_record(mode)]
-    for k in range(0, graph_size):
-        classes = ClassSet(k + 1)
-        nxt = []
-        for rec in level:
-            for nb, quad, u in _pd_neighbor_masks(mode, rec):
-                masks = [m | ((nb >> i & 1) << k) for i, m in enumerate(rec["masks"])]
-                masks.append(nb)
-                col = refine_colors(k + 1, masks)
-                if col[k] != 0:
-                    continue  # representative rule, see graphenum
-                if classes.add(masks, col):
-                    nxt.append(_extend_record(mode, rec, nb, quad, u))
-        level = nxt
+    for k in range(graph_size):
+        level = [
+            _extend_record(mode, *child)
+            for child, _ in attach_vertex(k, _pd_children(mode, level))
+        ]
     return level
 
 
 def _quad_u(mode: _Mode, rec: dict, nb: int):
     """(quad, u) for attaching a vertex with neighbor mask nb, computed
     directly (used to rebuild single records without a full walk)."""
-    adj = rec["adj"]
-    n = len(adj)
-    b = [1] * n
-    for i in range(n - 1):
-        if nb >> i & 1:
-            b[i + 1] = -1
-    if mode.kind == "int":
-        u = [sum(adj[i][j] * b[j] for j in range(n)) for i in range(n)]
-        quad = sum(b[i] * u[i] for i in range(n))
-        return quad, u
-    ux = [sum(adj[i][j][0] * b[j] for j in range(n)) for i in range(n)]
-    uy = [sum(adj[i][j][1] * b[j] for j in range(n)) for i in range(n)]
-    quad = (
-        sum(b[i] * ux[i] for i in range(n)),
-        sum(b[i] * uy[i] for i in range(n)),
-    )
-    return quad, list(zip(ux, uy))
+    b = _sign_vector(nb, len(rec["adj"]))
+    us = [[sum(map(mul, row, b)) for row in m] for m in _adj_components(rec["adj"], mode.d)]
+    return [sum(map(mul, u, b)) for u in us], us
 
 
 def _record_for_masks(mode: _Mode, masks: Sequence[int]) -> dict:
@@ -399,95 +370,34 @@ def _candidate_data(seed: BasisSeed):
 
 
 def _candidate_data_raw(mode: _Mode, det, adj, r: int):
-    """(eps, u = adjugate @ eps) for every unit candidate line, walking the
-    2^(r-1) sign vectors (root sign fixed +1) in Gray-code order."""
-    out = []
-    eps = [1] * r
-    if mode.kind == "int":
-        target = mode.corner * det
-        bsq = mode.bscale_sq
-        u = [sum(row) for row in adj]
-        quad = sum(u)
-        if bsq * quad == target:
-            out.append((tuple(eps), u[:]))
-        gray = 0
-        for g in range(1, 1 << (r - 1)):
-            gray_new = g ^ (g >> 1)
-            i = (gray ^ gray_new).bit_length()  # flipped sign position (>=1)
-            gray = gray_new
-            delta = -2 * eps[i]
-            quad += 2 * delta * u[i] + delta * delta * adj[i][i]
-            ai = adj[i]
-            for t in range(r):
-                u[t] += ai[t] * delta
-            eps[i] += delta
-            if bsq * quad == target:
-                out.append((tuple(eps), u[:]))
-        return out
-    d = mode.d
-    target = _pmul(mode.corner, det, d)
-    bsq = mode.bscale_sq
-    ux = [sum(adj[i][j][0] for j in range(r)) for i in range(r)]
-    uy = [sum(adj[i][j][1] for j in range(r)) for i in range(r)]
-    qx, qy = sum(ux), sum(uy)
-    if _pmul(bsq, (qx, qy), d) == target:
-        out.append((tuple(eps), list(zip(ux, uy))))
-    gray = 0
-    for g in range(1, 1 << (r - 1)):
-        gray_new = g ^ (g >> 1)
-        i = (gray ^ gray_new).bit_length()
-        gray = gray_new
-        delta = -2 * eps[i]
-        ax, ay = adj[i][i]
-        qx += 2 * delta * ux[i] + delta * delta * ax
-        qy += 2 * delta * uy[i] + delta * delta * ay
-        ai = adj[i]
-        for t in range(r):
-            ux[t] += ai[t][0] * delta
-            uy[t] += ai[t][1] * delta
-        eps[i] += delta
-        if _pmul(bsq, (qx, qy), d) == target:
-            out.append((tuple(eps), list(zip(ux, uy))))
-    return out
+    """(eps, u = adjugate @ eps in integer coordinates) for every unit
+    candidate line, walking the 2^(r-1) sign vectors (root sign fixed +1)."""
+    target = _exact_quotient(mode.corner * det, mode.bscale_sq)
+    if target is None:
+        return []
+    bounds = [(t, t + 1) for t in ring_parts(target, mode.d)]
+    return [(_sign_vector(nb, r), u) for nb, _, u in _ring_walk(adj, mode.d, bounds)]
 
 
 def candidates(seed: BasisSeed) -> CandidateSet:
     """All unit vectors whose inner products with every basis vector are
-    +-alpha, with exact coordinates in the basis."""
-    data = _candidate_data(seed)
-    lines = []
-    for eps, u in data:
-        if seed.mode.kind == "int":
-            coords = tuple(Fraction(seed.mode.bscale * x, seed.det) for x in u)
-        else:
-            d = seed.mode.d
-            detq = _to_quadext(seed.det, d)
-            bs = _to_quadext(seed.mode.bscale, d)
-            coords = tuple(bs * _to_quadext(x, d) / detq for x in u)
-        lines.append(CandidateLine(eps, coords))
-    cs = CandidateSet(seed, lines)
-    cs._eps = [eps for eps, _ in data]
-    cs._u = [u for _, u in data]
-    return cs
+    +-alpha; exact coordinates in the basis are computed on first read."""
+    return CandidateSet(seed, [CandidateLine(eps, u, seed) for eps, u in _candidate_data(seed)])
+
+
+def _compat_target(mode: _Mode, det) -> list[int] | None:
+    """det / bscale in integer coordinates, or None if it is not in the ring
+    (then no candidate pair is compatible)."""
+    t = _exact_quotient(det, mode.bscale)
+    return None if t is None else list(ring_parts(t, mode.d))
 
 
 def _pair_sign(seed: BasisSeed, u_i, eps_j) -> int:
-    mode = seed.mode
-    if mode.kind == "int":
-        dot = sum(u_i[t] * eps_j[t] for t in range(seed.r))
-        val = mode.bscale * dot
-        det = seed.det
-    else:
-        dx = dy = 0
-        for t in range(seed.r):
-            e = eps_j[t]
-            dx += u_i[t][0] * e
-            dy += u_i[t][1] * e
-        val = _pmul(mode.bscale, (dx, dy), mode.d)
-        det = seed.det
-    if val == det:
+    tgt = _compat_target(seed.mode, seed.det)
+    dots = [sum(map(mul, uc, eps_j)) for uc in u_i]
+    if dots == tgt:
         return 1
-    if val == (-det if mode.kind == "int" else (-det[0], -det[1])):
+    if tgt is not None and dots == [-x for x in tgt]:
         return -1
     raise ValueError("pair is not compatible")
 
@@ -499,34 +409,15 @@ def _compat_adj(seed: BasisSeed, data) -> list[int]:
 def _compat_adj_raw(mode: _Mode, det, data, r: int) -> list[int]:
     nc = len(data)
     adj = [0] * nc
-    if mode.kind == "int":
-        bscale = mode.bscale
-        neg = -det
-        for i in range(nc):
-            ui = data[i][1]
-            for j in range(i + 1, nc):
-                ej = data[j][0]
-                dot = 0
-                for t in range(r):
-                    dot += ui[t] * ej[t]
-                val = bscale * dot
-                if val == det or val == neg:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
+    tgt = _compat_target(mode, det)
+    if tgt is None:
         return adj
-    d = mode.d
-    neg = (-det[0], -det[1])
+    neg = [-x for x in tgt]
     for i in range(nc):
         ui = data[i][1]
         for j in range(i + 1, nc):
-            ej = data[j][0]
-            dx = dy = 0
-            for t in range(r):
-                e = ej[t]
-                dx += ui[t][0] * e
-                dy += ui[t][1] * e
-            val = _pmul(mode.bscale, (dx, dy), d)
-            if val == det or val == neg:
+            dots = [sum(map(mul, uc, data[j][0])) for uc in ui]
+            if dots == tgt or dots == neg:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
@@ -537,7 +428,7 @@ def compatibility_graph(cands: CandidateSet) -> Graph:
     nc = len(cands.lines)
     if nc == 0:
         return Graph(1, (0,))
-    data = list(zip(cands._eps, cands._u))
+    data = [(line.sign_vector, line.u) for line in cands.lines]
     return Graph(nc, tuple(_compat_adj(cands.seed, data)))
 
 
@@ -551,13 +442,13 @@ def realize(seed: BasisSeed, cands: CandidateSet, chosen: Sequence[int]) -> Equi
     for i in range(r):
         for j in range(r):
             rows[i][j] = base[i][j]
+    lines = cands.lines
     for a, ci in enumerate(chosen):
-        eps = cands._eps[ci]
+        eps = lines[ci].sign_vector
         for i in range(r):
             rows[i][r + a] = rows[r + a][i] = eps[i]
         for b in range(a):
-            cj = chosen[b]
-            s = _pair_sign(seed, cands._u[ci], cands._eps[cj])
+            s = _pair_sign(seed, lines[ci].u, lines[chosen[b]].sign_vector)
             rows[r + a][r + b] = rows[r + b][r + a] = s
     e = EquiangularSet(seed.alpha, SeidelMatrix(tuple(tuple(x) for x in rows)))
     if e.rank != r:
@@ -566,17 +457,22 @@ def realize(seed: BasisSeed, cands: CandidateSet, chosen: Sequence[int]) -> Equi
 
 
 def saturation_report(seed: BasisSeed, want_witness: bool = True) -> SaturationReport:
+    """Saturation total of one seed; with a witness, the clique is realized,
+    re-certified and checked to be maximal."""
     cands = candidates(seed)
     graph = compatibility_graph(cands)
     nc = len(cands.lines)
     if nc == 0:
         return SaturationReport(seed, 0, 0, seed.r, (), realize(seed, cands, ()))
-    if want_witness:
-        omega, witness = max_clique(graph)
-    else:
-        omega, witness = _clique_number(graph.adj, graph.n), ()
-    realized = realize(seed, cands, witness) if want_witness else None
-    return SaturationReport(seed, nc, omega, seed.r + omega, witness, realized)
+    if not want_witness:
+        omega = _clique_number(graph.adj, graph.n)
+        return SaturationReport(seed, nc, omega, seed.r + omega, ())
+    omega, witness = max_clique(graph)
+    rep = SaturationReport(
+        seed, nc, omega, seed.r + omega, witness, realize(seed, cands, witness)
+    )
+    _assert_saturated(rep, graph)
+    return rep
 
 
 def _total_from_record(mode: _Mode, rec: dict, r: int) -> int:
@@ -612,7 +508,6 @@ def m_alpha(
         count_scanned = r - 1 <= 7
     mode = _alpha_mode(alpha)
     parents = _pd_ladder(mode, r - 2)
-    classes = ClassSet(r - 1)
     masks_list: list[tuple[int, ...]] = []
     totals: list[int] = []
     batch: list = []
@@ -631,21 +526,13 @@ def m_alpha(
             totals.extend(_total_worker(a) for a in batch)
         batch.clear()
 
-    k = r - 2
     try:
-        for rec in parents:
-            for nb, quad, u in _pd_neighbor_masks(mode, rec):
-                masks = [m | ((nb >> i & 1) << k) for i, m in enumerate(rec["masks"])]
-                masks.append(nb)
-                col = refine_colors(k + 1, masks)
-                if col[k] != 0:
-                    continue
-                if classes.add(masks, col):
-                    child = _extend_record(mode, rec, nb, quad, u)
-                    masks_list.append(tuple(masks))
-                    batch.append((mode, child["det"], child["adj"], r))
-                    if len(batch) >= 1024:
-                        flush()
+        for child, masks in attach_vertex(r - 2, _pd_children(mode, parents)):
+            rec = _extend_record(mode, *child)
+            masks_list.append(tuple(masks))
+            batch.append((mode, rec["det"], rec["adj"], r))
+            if len(batch) >= 1024:
+                flush()
         flush()
     finally:
         if pool is not None:
@@ -666,11 +553,10 @@ def m_alpha(
             det=rec["det"],
             adjugate=rec["adj"],
         )
-        reports.append(saturation_report(seed))
-    for rep in reports:
-        assert rep.total == best
-        assert rep.realized is not None and rep.realized.rank == r
-        _assert_saturated(rep)
+        rep = saturation_report(seed)
+        if rep.total != best or rep.realized is None or rep.realized.rank != r:
+            raise AssertionError("maximizing seed failed re-certification")
+        reports.append(rep)
     scanned = len(graph_classes(r - 1)) if count_scanned else None
     return BoundReport(
         name="m_alpha",
@@ -701,12 +587,10 @@ def _histogram(totals: Sequence[int]) -> dict:
     return {str(k): v for k, v in sorted(out.items())}
 
 
-def _assert_saturated(rep: SaturationReport) -> None:
+def _assert_saturated(rep: SaturationReport, graph: Graph) -> None:
     """No candidate outside the clique is compatible with every clique member."""
-    cands = candidates(rep.seed)
-    graph = compatibility_graph(cands)
     chosen = set(rep.clique_witness)
-    for v in range(len(cands.lines)):
+    for v in range(rep.candidate_count):
         if v in chosen:
             continue
         if all(graph.has_edge(v, w) for w in chosen):

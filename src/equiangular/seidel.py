@@ -177,6 +177,31 @@ def graph_from_graph6(text: str) -> Graph:
 # -- maximum clique ----------------------------------------------------------
 
 
+def _color_order(adj: Sequence[int], cand: int):
+    """Greedy coloring of the candidate mask: (vertices in coloring order, the
+    number of colors used up to each vertex, which bounds any clique among it
+    and its predecessors, and the mask of each vertex's predecessors)."""
+    order = []
+    bounds = []
+    prefixes = []
+    prefix = 0
+    mleft = cand
+    color = 0
+    while mleft:
+        color += 1
+        avail = mleft
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            bit = 1 << v
+            avail &= ~adj[v] & ~bit
+            mleft &= ~bit
+            order.append(v)
+            bounds.append(color)
+            prefixes.append(prefix)
+            prefix |= bit
+    return order, bounds, prefixes
+
+
 def _clique_number(adj: Sequence[int], n: int, stop_at: int | None = None) -> int:
     """Branch and bound with greedy coloring bound; optionally stops early once
     a clique of size stop_at is found."""
@@ -195,25 +220,7 @@ def _clique_number(adj: Sequence[int], n: int, stop_at: int | None = None) -> in
                 if stop_at is not None and best >= stop_at:
                     done = True
             return
-        order = []
-        bounds = []
-        mleft = cand
-        color = 0
-        while mleft:
-            color += 1
-            avail = mleft
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                bit = 1 << v
-                avail &= ~adj[v] & ~bit
-                mleft &= ~bit
-                order.append(v)
-                bounds.append(color)
-        prefixes = []
-        prefix = 0
-        for u in order:
-            prefixes.append(prefix)
-            prefix |= 1 << u
+        order, bounds, prefixes = _color_order(adj, cand)
         for i in range(len(order) - 1, -1, -1):
             if done or size + bounds[i] <= best:
                 return
@@ -231,27 +238,9 @@ def _exists_clique(adj: Sequence[int], cand: int, need: int) -> bool:
         return True
     if cand.bit_count() < need:
         return False
-    order = []
-    bounds = []
-    mleft = cand
-    color = 0
-    while mleft:
-        color += 1
-        avail = mleft
-        while avail:
-            v = (avail & -avail).bit_length() - 1
-            bit = 1 << v
-            avail &= ~adj[v] & ~bit
-            mleft &= ~bit
-            order.append(v)
-            bounds.append(color)
-    if color < need:
+    order, bounds, prefixes = _color_order(adj, cand)
+    if bounds[-1] < need:
         return False
-    prefixes = []
-    prefix = 0
-    for u in order:
-        prefixes.append(prefix)
-        prefix |= 1 << u
     for i in range(len(order) - 1, -1, -1):
         if bounds[i] < need:
             return False
@@ -262,24 +251,30 @@ def _exists_clique(adj: Sequence[int], cand: int, need: int) -> bool:
     return False
 
 
-def max_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Clique number plus the lexicographically smallest maximum clique."""
-    omega = _clique_number(g.adj, g.n)
+def _clique_witness(adj: Sequence[int], n: int, size: int) -> list[int]:
+    """The lexicographically smallest clique of the given size, which must
+    exist; re-checked before returning."""
     witness: list[int] = []
-    cand = (1 << g.n) - 1
-    while len(witness) < omega:
+    cand = (1 << n) - 1
+    while len(witness) < size:
         for v in bits(cand):
-            rest = cand & g.adj[v]
-            if _exists_clique(g.adj, rest, omega - len(witness) - 1):
+            rest = cand & adj[v]
+            if _exists_clique(adj, rest, size - len(witness) - 1):
                 witness.append(v)
                 cand = rest
                 break
-        else:  # pragma: no cover - omega guarantees progress
+        else:
             raise AssertionError("witness extraction failed")
     for i, u in enumerate(witness):
-        for v in witness[i + 1 :]:
-            assert g.has_edge(u, v)
-    return omega, tuple(witness)
+        if any(not adj[u] >> v & 1 for v in witness[i + 1 :]):
+            raise AssertionError("clique witness is not a clique")
+    return witness
+
+
+def max_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Clique number plus the lexicographically smallest maximum clique."""
+    omega = _clique_number(g.adj, g.n)
+    return omega, tuple(_clique_witness(g.adj, g.n, omega))
 
 
 # -- Seidel matrices and equiangular sets -------------------------------------
@@ -506,23 +501,15 @@ def base_size(e: EquiangularSet) -> tuple[int, tuple[int, ...], SwitchingOp]:
         omega = _clique_number(adj, n - 1, stop_at=cap - 1)
         if 1 + omega > best:
             best = 1 + omega
-            witness: list[int] = []
-            cand = (1 << (n - 1)) - 1
-            while len(witness) < omega:
-                for v in bits(cand):
-                    rest = cand & adj[v]
-                    if _exists_clique(adj, rest, omega - len(witness) - 1):
-                        witness.append(v)
-                        cand = rest
-                        break
+            witness = _clique_witness(adj, n - 1, omega)
             best_base = tuple(sorted([root] + [others[x] for x in witness]))
             best_op = SwitchingOp.flips_only(flips, n)
         if best >= cap:
             break
-    assert best >= 2
     # check the witness: the base is a clique in the switched Seidel graph
     switched = best_op.apply(e.seidel)
-    for i, u in enumerate(best_base):
-        for v in best_base[i + 1 :]:
-            assert switched.rows[u][v] == -1
+    if best < 2 or any(
+        switched.rows[u][v] != -1 for i, u in enumerate(best_base) for v in best_base[i + 1 :]
+    ):
+        raise AssertionError("base witness failed re-check")
     return best, best_base, best_op

@@ -45,5 +45,17 @@ def table3_fast():
 
 
 @pytest.fixture(scope="session")
+def m_10_fifth():
+    """The minutes-scale (10, 1/5) Table-3 cell, searched once per session
+    for every test that checks it; the elapsed wall time is stored under the
+    "elapsed" key."""
+    import time
+
+    t0 = time.monotonic()
+    rep = saturate.m_alpha(10, Fraction(1, 5), count_scanned=False)
+    return {"report": rep, "elapsed": time.monotonic() - t0}
+
+
+@pytest.fixture(scope="session")
 def mstar_reports():
     return {r: saturate.m_star(r) for r in (8, 9, 10)}

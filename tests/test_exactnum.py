@@ -1,17 +1,29 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import equiangular
 from equiangular.exactnum import (
     IntPoly,
     QuadExt,
+    ZSqrt,
+    components,
+    from_components,
     format_scalar,
     parse_scalar,
     poly_eval,
     poly_mul,
     poly_pow,
     quad_sign,
+    ring_element,
+    ring_parts,
+    ring_to_scalar,
     scalar_floor,
     squarefree_decomposition,
 )
@@ -146,3 +158,87 @@ def test_squarefree_decomposition():
     assert squarefree_decomposition(60) == (2, 15)
     assert squarefree_decomposition(17) == (1, 17)
     assert squarefree_decomposition(16) == (4, 1)
+
+
+# -- the ring Z[sqrt d] against QuadExt -----------------------------------------
+
+small = st.integers(-10**6, 10**6)
+radicands = st.sampled_from([2, 3, 5, 17])
+
+
+def zs(d):
+    return st.builds(ZSqrt, small, small, st.just(d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), radicands)
+def test_zsqrt_ring_operations_match_quadext(data, d):
+    x, y = data.draw(zs(d)), data.draw(zs(d))
+    k = data.draw(small)
+    q = ring_to_scalar
+    assert q(x + y) == q(x) + q(y)
+    assert q(x - y) == q(x) - q(y)
+    assert q(x * y) == q(x) * q(y)
+    assert q(-x) == -q(x)
+    assert q(x * k) == q(k * x) == q(x) * k
+    assert q(x + k) == q(k + x) == q(x) + k
+    assert q(k - x) == k - q(x)
+    assert (x == y) == (q(x) == q(y))
+    assert bool(x) == bool(q(x))
+    assert (x == k) == (q(x) == k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), radicands)
+def test_zsqrt_exact_division(data, d):
+    x, y = data.draw(zs(d)), data.draw(zs(d))
+    k = data.draw(small.filter(bool))
+    if y:
+        assert (x * y) // y == x
+        quotient = ring_to_scalar(x) / ring_to_scalar(y)
+        if quotient.a.denominator == 1 and quotient.b.denominator == 1:
+            assert ring_to_scalar(x // y) == quotient
+        else:
+            with pytest.raises(ArithmeticError):
+                x // y
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x // y
+    assert (x * k) // k == x
+    if x.a % k or x.b % k:
+        with pytest.raises(ArithmeticError):
+            x // k
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data(), radicands)
+def test_zsqrt_sign_matches_quadext(data, d):
+    x = data.draw(zs(d))
+    assert x.sign() == quad_sign(x) == ring_to_scalar(x).sign()
+    assert quad_sign(-x) == -quad_sign(x)
+
+
+def test_ring_coordinates_round_trip():
+    xs = [ZSqrt(1, -2, 17), ZSqrt(0, 3, 17), ZSqrt(-4, 0, 17)]
+    comps = components(xs, 17)
+    assert comps == [[1, 0, -4], [-2, 3, 0]]
+    assert from_components(comps, 17) == xs
+    assert components([3, -1], 0) == [[3, -1]]
+    assert from_components([[3, -1]], 0) == [3, -1]
+    assert ring_element(ring_parts(xs[0], 17), 17) == xs[0]
+    assert ring_element((5, 0), 0) == 5 and ring_parts(5, 0) == (5,)
+
+
+def test_inexact_division_raises_under_optimize():
+    """The exactness check is a real raise, not an assert stripped by -O."""
+    root = os.path.dirname(equiangular.__path__[0])
+    env = dict(os.environ, PYTHONPATH=root)
+    code = (
+        "from equiangular.exactnum import ZSqrt\n"
+        "ZSqrt(1, 1, 17) // ZSqrt(2, 0, 17)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode != 0
+    assert "ArithmeticError" in proc.stderr and "not divisible" in proc.stderr

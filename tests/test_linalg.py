@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from equiangular.exactnum import IntPoly, QuadExt, poly_eval
+from equiangular.exactnum import IntPoly, QuadExt, poly_eval, quad_sign
 from equiangular.linalg import (
     INDEFINITE,
     POSITIVE_DEFINITE,
@@ -111,6 +111,115 @@ def test_psd_verdict_matches_principal_minor_oracle():
             )
             assert val < 0
     assert all(counts.values()), counts  # every verdict exercised
+
+
+def _quad_det(rows):
+    """Laplace expansion along the first row; fine for the small orders here."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = Fraction(0)
+    for j in range(n):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = rows[0][j] * _quad_det(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def _quad_psd_by_principal_minors(rows):
+    from itertools import combinations
+
+    n = len(rows)
+    full = None
+    for k in range(1, n + 1):
+        for sub in combinations(range(n), k):
+            d = quad_sign(_quad_det([[rows[i][j] for j in sub] for i in sub]))
+            if d < 0:
+                return INDEFINITE
+            if k == n:
+                full = d
+    return POSITIVE_DEFINITE if full > 0 else POSITIVE_SEMIDEFINITE_SINGULAR
+
+
+def _sympy_rank(rows, d):
+    """Rank over Q(sqrt d) from sympy's DomainMatrix, an independent oracle."""
+    from sympy import QQ, sqrt
+    from sympy.polys.matrices import DomainMatrix
+
+    field = QQ.algebraic_field(sqrt(d))
+
+    def conv(x):
+        x = x if isinstance(x, QuadExt) else QuadExt(x, 0, d)
+        return field([QQ(x.b.numerator, x.b.denominator), QQ(x.a.numerator, x.a.denominator)])
+
+    n = len(rows)
+    return DomainMatrix([[conv(x) for x in r] for r in rows], (n, n), field).rank()
+
+
+@pytest.mark.parametrize("d", [5, 17])
+def test_quadratic_psd_verdict_matches_principal_minor_oracle(d):
+    # Gram matrices I + alpha*S of random sign patterns at alpha = 1/sqrt(d)
+    # and Grams of fewer random vectors than rows (always PSD singular)
+    rng = random.Random(d)
+    alpha = QuadExt(0, Fraction(1, d), d)
+    counts = {INDEFINITE: 0, POSITIVE_DEFINITE: 0, POSITIVE_SEMIDEFINITE_SINGULAR: 0}
+    for trial in range(300):
+        n = rng.randrange(1, 6)
+        if trial % 3:
+            rows = [[None] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = QuadExt(rng.choice((1, 1, 1, -1)), 0, d)
+                for j in range(i + 1, n):
+                    rows[i][j] = rows[j][i] = alpha * rng.choice((1, -1, 3))
+        else:
+            k = rng.randrange(1, n + 1)
+            vecs = [
+                [QuadExt(rng.randrange(-2, 3), Fraction(rng.randrange(-2, 3), 2), d) for _ in range(k)]
+                for _ in range(n)
+            ]
+            rows = [[sum((a * b for a, b in zip(u, v)), Fraction(0)) for v in vecs] for u in vecs]
+        m = SymMatrix(rows)
+        cert = psd_check(m)
+        want = _quad_psd_by_principal_minors(m.rows)
+        assert cert.verdict == want, (rows, cert.verdict, want)
+        assert cert.rank == rank_of(m) == _sympy_rank(m.rows, d)
+        counts[cert.verdict] += 1
+        if cert.verdict == INDEFINITE:
+            v = cert.witness
+            val = sum(
+                (v[i] * m.rows[i][j] * v[j] for i in range(n) for j in range(n)), Fraction(0)
+            )
+            assert quad_sign(val) < 0
+    assert all(counts.values()), counts  # every verdict exercised
+
+
+def test_paley17_gram_certificate_pinned():
+    from equiangular.constructions import conference_etf, paley_conference
+
+    gram = conference_etf(paley_conference(17)).gram()
+    assert gram.n == 18 and gram.radicand() == 17
+    cert = psd_check(gram)
+    assert cert.verdict == POSITIVE_SEMIDEFINITE_SINGULAR
+    assert cert.rank == 9 == rank_of(gram)
+    assert cert.pivot_order == tuple(range(9))
+
+
+def test_rank_when_a_pivot_column_has_zeros():
+    # rows with a zero in the pivot column are still rescaled by the pivot;
+    # skipping them broke the next exact division and dropped the rank to 2
+    assert rank_of(SymMatrix([[2, 0, 0], [0, 1, 1], [0, 1, 2]])) == 3
+
+
+def test_rank_matches_sympy_on_sparse_rational_matrices():
+    from sympy import Matrix, Rational
+
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        m = random_sym(rng, n, [frac(0), frac(0), frac(2), frac(-3), frac(1, 2)])
+        want = Matrix([[Rational(x.numerator, x.denominator) for x in r] for r in m.rows]).rank()
+        assert rank_of(m) == want
+        assert psd_check(m).rank == want
 
 
 def test_indefinite_witness_and_rank():

@@ -142,9 +142,8 @@ def test_sqrt17_realization_stays_in_field(table3_fast):
 
 
 @pytest.mark.slow
-def test_m_alpha_10_fifth():
-    rep = m_alpha(10, Fraction(1, 5), count_scanned=False)
-    assert rep.value == 16
+def test_m_alpha_10_fifth(m_10_fifth):
+    assert m_10_fifth["report"].value == 16
 
 
 def test_m_star(mstar_reports):
@@ -201,3 +200,29 @@ def test_switching_isomorphism_distinguishes(enum_8_third):
         SeidelMatrix(tuple(tuple(r[:8]) for r in fourteen[0].seidel.rows[:8])),
     )
     assert switching_isomorphism(eight, sub) is None
+
+
+def test_coordinates_are_computed_on_first_read(enum_8_third):
+    seed = max(enum_8_third.seeds, key=lambda s: s.graph.edge_count())
+    cs = candidates(seed)
+    rep = saturation_report(seed)
+    realize(seed, cs, rep.clique_witness)
+    assert all("coords" not in vars(line) for line in cs.lines)
+    first = cs.lines[0].coords
+    assert "coords" in vars(cs.lines[0]) and cs.lines[0].coords is first
+
+
+def test_candidates_scanned_once_per_maximizing_seed(monkeypatch):
+    from equiangular import saturate
+
+    calls = []
+    inner = saturate.candidates
+
+    def counting(seed):
+        calls.append(seed.nonroot_graph6)
+        return inner(seed)
+
+    monkeypatch.setattr(saturate, "candidates", counting)
+    rep = m_alpha(8, Fraction(1, 3))
+    winners = [w["graph6"] for w in rep.certificate["maximizing_seeds"]]
+    assert len(winners) == 2 and calls == winners
