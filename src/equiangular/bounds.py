@@ -138,7 +138,8 @@ def pillar_coexistence_bound(n: int) -> BoundReport:
     # re-verify the certificate through the full quadruple evaluation
     s, t = best_st
     inst = coexistence_check(n, (s, t, t, 0))
-    assert inst.feasible and inst.size == best
+    if not (inst.feasible and inst.size == best):
+        raise AssertionError(f"coexistence vertex {(s, t)} fails its re-check")
     return BoundReport(
         name="pillar_coexistence",
         value=best,
@@ -295,7 +296,8 @@ def single_variable_cap(mask: int, t1111: int = 0, margin: int = 50) -> int:
     for extra in range(2, margin + 2):
         t = {15: t1111}
         t[mask] = t.get(mask, 0) + m + extra
-        assert not instance_feasible(t)
+        if instance_feasible(t):
+            raise AssertionError(f"feasibility island above the cap {m} for mask {mask}")
     return m
 
 
@@ -593,7 +595,8 @@ def neumann_restriction(r: int, count: int) -> AngleRestriction:
     applies = count > 2 * r - 2
     conference = None
     if applies and r % 2 == 1:
-        assert (2 * r) % 4 == 2  # conference matrix order condition
+        if (2 * r) % 4 != 2:
+            raise AssertionError("conference matrix order must be 2 mod 4")
         d = 2 * r - 1
         s, d0 = squarefree_decomposition(d)
         conference = QuadExt(Fraction(0), Fraction(s, d), d0)

@@ -156,6 +156,8 @@ def _cmd_construct(args) -> int:
         _emit(args, e.to_json())
         return EXIT_OK
     if what == "simplex":
+        if args.k is None or args.alpha is None:
+            raise ValueError("construct simplex needs --k and --alpha")
         e = constructions.simplex_base(args.k, parse_scalar(args.alpha))
         _emit(args, e.to_json())
         return EXIT_OK
@@ -174,8 +176,14 @@ def _cmd_verify(args) -> int:
         obj = json.load(fh)
     problems = []
     if "seidel" in obj:
+        if "alpha" not in obj:
+            raise ValueError('a "seidel" file needs an "alpha" field')
         alpha = parse_scalar(obj["alpha"])
         rows = obj["seidel"]
+        if not isinstance(rows, list) or any(
+            not isinstance(row, list) or len(row) != len(rows) for row in rows
+        ):
+            raise ValueError('"seidel" must be a square list of rows')
         n = len(rows)
         for i in range(n):
             for j in range(n):

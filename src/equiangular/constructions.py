@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from equiangular import linalg
 from equiangular.exactnum import QuadExt, Scalar, quad_sign, squarefree_decomposition
 from equiangular.linalg import SymMatrix
 from equiangular.pillars import PillarDecomposition, decompose
@@ -95,7 +95,8 @@ def golay_octads() -> WittOctads:
             if (a & b).bit_count() > 4:
                 raise AssertionError("two octads share a 5-subset")
     # 759 * C(8,5) == C(24,5): with no 5-subset repeated, all are covered
-    assert 759 * 56 == 42504
+    if len(octads) * comb(8, 5) != comb(24, 5):
+        raise AssertionError("octads do not cover every 5-subset")
     for sigma in BASE_OCTADS:
         if _mask(sigma) not in code:
             raise AssertionError("pinned generator lost a base octad")
@@ -188,28 +189,80 @@ def witt276_base_and_pillars() -> tuple[EquiangularSet, PillarDecomposition]:
     return oriented, decompose(oriented, base)
 
 
-def witt_spectrum_certificate() -> dict:
-    """Exact spectral data of the 276-line Seidel matrix: eigenvalues -5 and
-    55 with multiplicities 253 and 23, certified by rank(A + 5I) = 23,
-    rank(A - 55I) = 253, and the exact identity (A + 5I)(A - 55I) = 0."""
-    rows = witt276().lines.seidel.rows
-    n = len(rows)
-    import numpy as np
+def _two_eigenvalue_multiplicities(
+    rows: tuple[tuple[int, ...], ...], lo: int, hi: int
+) -> tuple[int, int]:
+    """Multiplicities (m_lo, m_hi) of the distinct eigenvalues lo, hi of a Seidel
+    matrix A (zero diagonal, +-1 off it, symmetric) whose spectrum is
+    certified to lie in {lo, hi} by (A - lo I)(A - hi I) = 0, i.e.
+    A^2 = (lo + hi) A - lo hi I, checked entry by entry on +-1 row bitmasks.
 
-    a = np.array(rows, dtype=np.int64)
-    prod = (a + 5 * np.eye(n, dtype=np.int64)) @ (a - 55 * np.eye(n, dtype=np.int64))
-    product_zero = not prod.any()
-    r_lo = linalg.rank_of(SymMatrix([[rows[i][j] + (5 if i == j else 0) for j in range(n)] for i in range(n)]))
-    r_hi = linalg.rank_of(SymMatrix([[rows[i][j] - (55 if i == j else 0) for j in range(n)] for i in range(n)]))
-    return {
+    A real symmetric matrix annihilated by (x - lo)(x - hi) is diagonalizable
+    with eigenvalues in {lo, hi}, so m_lo + m_hi = n and lo m_lo + hi m_hi =
+    tr A fix the multiplicities; rank(A - lo I) = m_hi, rank(A - hi I) = m_lo.
+    Raises AssertionError when A is not such a matrix."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise AssertionError(f"not a square matrix of order {n}")
+    pos = [0] * n
+    neg = [0] * n
+    for i, row in enumerate(rows):
+        if row[i] != 0:
+            raise AssertionError(f"nonzero diagonal entry at {i}")
+        for j, x in enumerate(row):
+            if x != rows[j][i]:
+                raise AssertionError(f"not symmetric at ({i},{j})")
+            if x == 1:
+                pos[i] |= 1 << j
+            elif x == -1:
+                neg[i] |= 1 << j
+            elif i != j:
+                raise AssertionError(f"entry {x!r} at ({i},{j}) is not +-1")
+    s, p = lo + hi, lo * hi
+    for i in range(n):
+        pi, ni = pos[i], neg[i]
+        if (pi | ni).bit_count() != -p:
+            raise AssertionError(f"(A^2)[{i}][{i}] != {-p}")
+        for j in range(i + 1, n):
+            pj, nj = pos[j], neg[j]
+            sq = ((pi & pj) | (ni & nj)).bit_count() - ((pi & nj) | (ni & pj)).bit_count()
+            if sq != s * rows[i][j]:
+                raise AssertionError(f"A^2 != {s}A + {-p}I at ({i},{j})")
+    trace = sum(row[i] for i, row in enumerate(rows))
+    m_hi, rem = divmod(trace - lo * n, hi - lo)
+    m_lo = n - m_hi
+    if rem or m_lo < 0 or m_hi < 0:
+        raise AssertionError("multiplicities are not non-negative integers")
+    return m_lo, m_hi
+
+
+def witt_spectrum_certificate() -> dict:
+    """Exact spectral data of the 276-line Seidel matrix A: eigenvalues -5 and
+    55 with multiplicities 253 and 23, certified by A^2 = 50A + 275I, i.e.
+    (A + 5I)(A - 55I) = 0, together with tr A = 0.  The ranks of A + 5I and
+    A - 55I are derived from the multiplicities; rank(A + 5I) is cross-checked
+    against the PSD-certified rank of the Gram matrix I + A/5, and the second
+    moment 25 m_-5 + 3025 m_55 against sum A_ij^2 = n(n - 1).  Raises
+    AssertionError when a check fails."""
+    lines = witt276().lines
+    rows = lines.seidel.rows
+    n = len(rows)
+    m_lo, m_hi = _two_eigenvalue_multiplicities(rows, -5, 55)
+    if m_hi != lines.rank:
+        raise AssertionError(f"rank(A + 5I) = {m_hi} but the Gram rank is {lines.rank}")
+    trace_sq = sum(x * x for row in rows for x in row)
+    cert = {
         "order": n,
-        "rank_A_plus_5I": r_lo,
-        "rank_A_minus_55I": r_hi,
-        "product_zero": product_zero,
-        "spectrum": {"-5": n - r_lo, "55": n - r_hi},
-        "trace_check": -5 * (n - r_lo) + 55 * (n - r_hi) == 0,
-        "trace_sq_check": 25 * (n - r_lo) + 55 * 55 * (n - r_hi) == n * (n - 1),
+        "rank_A_plus_5I": m_hi,
+        "rank_A_minus_55I": m_lo,
+        "product_zero": True,
+        "spectrum": {"-5": m_lo, "55": m_hi},
+        "trace_check": -5 * m_lo + 55 * m_hi == sum(rows[i][i] for i in range(n)),
+        "trace_sq_check": 25 * m_lo + 55 * 55 * m_hi == trace_sq == n * (n - 1),
     }
+    if not (cert["trace_check"] and cert["trace_sq_check"]):
+        raise AssertionError(f"moment checks failed: {cert}")
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -382,7 +382,8 @@ def char_poly(M: SymMatrix) -> IntPoly:
     cs = []
     for k in range(1, n + 1):
         tr = sum(mk[i][i] for i in range(n))
-        assert tr % k == 0
+        if tr % k:
+            raise AssertionError(f"trace {tr} of step {k} is not divisible by {k}")
         ck = -tr // k
         cs.append(ck)
         if k == n:

@@ -75,6 +75,8 @@ class _Mode:
 
 
 def _alpha_mode(alpha: Scalar) -> _Mode:
+    if quad_sign(alpha) <= 0 or quad_sign(alpha - 1) >= 0:
+        raise ValueError(f"the angle must lie in (0, 1), got {format_scalar(alpha)}")
     if isinstance(alpha, QuadExt) and alpha.b != 0:
         a, b, d = alpha.a, alpha.b, alpha.d
     else:
@@ -714,7 +716,8 @@ def _solve_signs(
                 return None
     flips = frozenset(i for i in range(n) if signs[i] == -1)
     op = SwitchingOp(flips, perm)
-    assert op.apply(a1) == a2
+    if op.apply(a1) != a2:
+        raise AssertionError("switching witness does not map a1 to a2")
     return op
 
 

@@ -114,7 +114,8 @@ def test_criterion_6_seidel_spectrum(witt):
     assert cert["trace_check"] and cert["trace_sq_check"]
     elapsed = time.monotonic() - t0
     assert elapsed < 300
-    _announce(6, f"spectrum -5^253, 55^23 certified by shifted ranks ({elapsed:.2f}s)")
+    _announce(6, f"spectrum -5^253, 55^23 certified by A^2 = 50A + 275I and tr A = 0 "
+                 f"({elapsed:.2f}s)")
 
 
 def test_criterion_7_saturation_pipeline(m_8_third):

@@ -161,3 +161,22 @@ def test_saturate_cache_env(tmp_path, capsys, monkeypatch):
     code, out2 = run_cli(capsys, "saturate", "--rank", "8", "--alpha", "1/3")
     assert code == 0
     assert json.loads(out1)["value"] == json.loads(out2)["value"] == 14
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (["verify"], {"seidel": [[0, 1], [1, 0]]}, '"alpha"'),
+    (["verify"], {"alpha": "1/5", "seidel": [[0, 1], [1]]}, "square"),
+    (["construct", "simplex", "--k", "5"], None, "--alpha"),
+    (["saturate", "--rank", "8", "--alpha", "2"], None, "(0, 1)"),
+], ids=["verify-without-alpha", "verify-ragged-rows", "simplex-without-alpha",
+        "saturate-angle-out-of-range"])
+def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, payload, message):
+    if payload is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        argv = argv + [str(path)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err

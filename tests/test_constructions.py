@@ -1,13 +1,21 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import equiangular
 
 from equiangular import linalg
 from equiangular.bounds import welch_bound_sq
 from equiangular.constructions import (
     BASE_OCTADS,
+    _two_eigenvalue_multiplicities,
     block_52_equiangular,
     block_52_family,
     conference_etf,
@@ -96,6 +104,83 @@ def test_witt_spectrum(witt):
     assert cert["product_zero"]
     assert cert["spectrum"] == {"-5": 253, "55": 23}
     assert cert["trace_check"] and cert["trace_sq_check"]
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    root = os.path.dirname(equiangular.__path__[0])
+    env = dict(os.environ, PYTHONPATH=root)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30).flatmap(
+    lambda n: st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
+))
+def test_two_eigenvalue_ranks_match_rank_of_on_switched_complete_graphs(signs):
+    # D(J - I)D has eigenvalues -1 (n - 1 times) and n - 1 (once)
+    n = len(signs)
+    rows = tuple(
+        tuple(0 if i == j else signs[i] * signs[j] for j in range(n)) for i in range(n)
+    )
+    lo, hi = -1, n - 1
+    m_lo, m_hi = _two_eigenvalue_multiplicities(rows, lo, hi)
+    assert (m_lo, m_hi) == (n - 1, 1)
+    for lam, derived_rank in ((lo, m_hi), (hi, m_lo)):
+        shifted = [[rows[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
+        assert linalg.rank_of(linalg.SymMatrix(shifted)) == derived_rank
+
+
+def test_switched_witt_has_the_same_spectrum(witt_pillars):
+    switched, _ = witt_pillars
+    assert _two_eigenvalue_multiplicities(switched.seidel.rows, -5, 55) == (253, 23)
+
+
+def _flip_pair(rows, i, j):
+    out = [list(r) for r in rows]
+    out[i][j] = out[j][i] = -out[i][j]
+    return tuple(tuple(r) for r in out)
+
+
+def test_witt_with_one_flipped_pair_is_rejected(witt):
+    rows = _flip_pair(witt.lines.seidel.rows, 3, 200)
+    with pytest.raises(AssertionError, match="A\\^2"):
+        _two_eigenvalue_multiplicities(rows, -5, 55)
+
+
+def test_witt_with_one_flipped_pair_is_rejected_under_optimize():
+    code = (
+        "from equiangular.constructions import _two_eigenvalue_multiplicities, witt276\n"
+        "rows = [list(r) for r in witt276().lines.seidel.rows]\n"
+        "rows[3][200] = rows[200][3] = -rows[3][200]\n"
+        "_two_eigenvalue_multiplicities(tuple(map(tuple, rows)), -5, 55)\n"
+    )
+    proc = _run_python("-O", "-c", code)
+    assert proc.returncode != 0
+    assert "AssertionError: A^2 != 50A + 275I" in proc.stderr
+
+
+@pytest.mark.parametrize("rows, reason", [
+    (((1, 1), (1, 0)), "diagonal"),
+    (((0, 1), (-1, 0)), "symmetric"),
+    (((0, 2), (2, 0)), "not \\+-1"),
+    (((0, 1), (1,)), "square"),
+])
+def test_two_eigenvalue_certificate_rejects_non_seidel_input(rows, reason):
+    with pytest.raises(AssertionError, match=reason):
+        _two_eigenvalue_multiplicities(rows, -1, 1)
+
+
+def test_spectrum_certificate_does_not_import_numpy():
+    code = (
+        "import sys\n"
+        "from equiangular.constructions import witt_spectrum_certificate\n"
+        "assert witt_spectrum_certificate()['spectrum'] == {'-5': 253, '55': 23}\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_witt_pillar_decomposition(witt_pillars):
