@@ -174,6 +174,8 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.file) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("the input must be a JSON object")
     problems = []
     if "seidel" in obj:
         if "alpha" not in obj:

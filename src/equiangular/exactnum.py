@@ -361,6 +361,8 @@ def format_scalar(x: Scalar) -> str:
 
 def parse_scalar(s: str) -> Scalar:
     """Inverse of format_scalar; also accepts the angle shorthand "1/sqrt(d)"."""
+    if not isinstance(s, str):
+        raise ValueError(f'a scalar must be a string such as "1/5", got {s!r}')
     m = _INVSQRT_RE.match(s)
     if m:
         d = int(m.group("d"))

@@ -13,12 +13,21 @@ filters keep the candidate stream small:
   submatrices of PD matrices are PD, so pruned parents cannot have unpruned
   children).
 
+The representative rule is tested cheaply first.  Refinement starts from the
+degrees and each round orders vertices by their previous color first, so the
+minimum-color class can only shrink from one round to the next: a new vertex
+of more than the minimum degree is rejected by popcounts alone, and the
+refinement of any other child stops as soon as the new vertex leaves color 0.
+An accepted child has run every round, so its colors are those of a full
+``refine_colors`` call.
+
 Adjacency is the bitmask-row form of seidel.Graph.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from equiangular.seidel import Graph, bits
@@ -26,9 +35,17 @@ from equiangular.seidel import Graph, bits
 AdjList = list[int]
 
 
-def refine_colors(nv: int, adj: Sequence[int], rounds: int = 3) -> list[int]:
+def refine_colors(
+    nv: int, adj: Sequence[int], rounds: int = 3, *, _watch: int | None = None
+) -> list[int]:
     """Iterated neighborhood color refinement; colors are canonical integers
     (sorted-signature rank), so results are machine-independent.
+
+    With ``_watch`` (the representative rule of ``attach_vertex``), the
+    refinement stops after the first round that moves vertex ``_watch`` out
+    of color 0 and returns that round's colors; a vertex out of the minimum
+    color never returns to it, so only ``col[_watch] != 0`` is meaningful
+    then.  Otherwise every round runs.
 
     A signature is (color, sorted neighbor colors).  Vertices of one color
     have one degree, and among equal-length sorted tuples the order is that
@@ -50,6 +67,8 @@ def refine_colors(nv: int, adj: Sequence[int], rounds: int = 3) -> list[int]:
         if new == col:
             break
         col = new
+        if _watch is not None and col[_watch]:
+            break
     return col
 
 
@@ -148,9 +167,12 @@ def attach_vertex(k: int, children: Iterable[tuple]) -> Iterator[tuple]:
     new (k+1)-vertex isomorphism class, in input order."""
     classes = ClassSet(k + 1)
     for adj, nb, payload in children:
+        deg = nb.bit_count()
+        if any(a.bit_count() + (nb >> i & 1) < deg for i, a in enumerate(adj)):
+            continue  # representative rule, by degree: color 0 has minimum degree
         na = [a | ((nb >> i & 1) << k) for i, a in enumerate(adj)]
         na.append(nb)
-        col = refine_colors(k + 1, na)
+        col = refine_colors(k + 1, na, _watch=k)
         if col[k] != 0:
             continue  # representative rule: new vertex must be of minimum color
         if classes.add(na, col):
@@ -172,5 +194,7 @@ def graph_classes(n: int) -> list[Graph]:
     return [Graph(n, tuple(adj)) for adj in classes]
 
 
+@cache
 def count_graph_classes(n: int) -> int:
+    """len(graph_classes(n)), enumerated once per process."""
     return len(graph_classes(n))

@@ -130,9 +130,15 @@ class SymMatrix:
     @classmethod
     def from_json(cls, text: str) -> "SymMatrix":
         obj = json.loads(text)
+        if not (
+            isinstance(obj, dict)
+            and isinstance(obj.get("rows"), list)
+            and all(isinstance(r, list) for r in obj["rows"])
+        ):
+            raise ValueError('a matrix needs "rows", a list of rows of scalar strings')
         rows = [[parse_scalar(s) for s in r] for r in obj["rows"]]
         m = cls(rows)
-        if m.n != obj["order"]:
+        if m.n != obj.get("order"):
             raise ValueError("order field does not match row count")
         return m
 

@@ -21,19 +21,22 @@ recurring tests are exact ring comparisons:
     unit candidate line:          eps^T adj eps == corner*det / bscale^2
     compatible candidate pair:    adj eps_i . eps_j == +-det / bscale
 
-Sign-vector scans walk eps in Gray-code order, updating adj@eps in O(r).  The
-walk is linear, so it runs on the integer coordinates of the ring: one array
-over Z, two over Z[sqrt d], and the last two tests compare those coordinates
-with targets computed once per class (none if the quotient is not in the ring).
+Sign-vector scans walk eps in Gray-code order.  The walk is linear, so it
+runs on the integer coordinates of the ring: one integer matrix over Z, two
+over Z[sqrt d], and the last two tests compare those coordinates with targets
+computed once per class (none if the quotient is not in the ring).  Each walk
+keeps adj@eps packed into one Python int of fixed-width biased fields, so a
+sign flip is one big-int addition plus one field read for eps^T adj eps, and
+adj@eps is unpacked only for the sign vectors kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
-from operator import mul
+from operator import lshift, mul
 from typing import Sequence
 
 from equiangular import bounds
@@ -49,7 +52,7 @@ from equiangular.exactnum import (
     ring_parts,
     ring_to_scalar,
 )
-from equiangular.graphenum import attach_vertex, find_isomorphism, graph_classes
+from equiangular.graphenum import attach_vertex, count_graph_classes, find_isomorphism
 from equiangular.linalg import SymMatrix
 from equiangular.seidel import (
     EquiangularSet,
@@ -222,31 +225,56 @@ def _adj_components(adj: list, d: int) -> list[list[list[int]]]:
     return [list(rows) for rows in zip(*(components(row, d) for row in adj))]
 
 
-def _gray_walk(m: list[list[int]], lo: int, hi: int) -> list[tuple]:
+@cache
+def _gray_flips(n: int) -> tuple:
+    """The steps of the Gray-code walk over the sign vectors of length n with
+    b[0] = +1, as (mask after the step, flipped position i >= 1, whether b[i]
+    became -1); they depend on n alone, so they are built once per length."""
+    out = []
+    for g in range(1, 1 << (n - 1)):
+        i = (g & -g).bit_length()
+        nb = g ^ (g >> 1)
+        out.append((nb, i, bool(nb >> (i - 1) & 1)))
+    return tuple(out)
+
+
+def _gray_walk(m: list[list[int]], lo: int | None = None, hi: int | None = None) -> list[tuple]:
     """Gray-code walk over the sign vectors b of length n with b[0] = +1 for
-    one integer symmetric matrix m.  Keeps u = m b and quad = b^T m b,
-    updating them in O(n) per flip, and returns (mask, [quad], [u]) for every
-    b with lo <= quad < hi; bit i-1 of mask is set when b[i] = -1."""
+    one integer symmetric matrix m.  Returns (mask, [quad], [u]) with
+    u = m b and quad = b^T m b for every b with lo <= quad < hi (None for no
+    limit), in Gray order; bit i-1 of mask is set when b[i] = -1.
+
+    u is kept packed in one int: coordinate t is the field of ``width`` bits
+    at t*width holding u[t] + reach, where reach (the sum of |m|) bounds
+    |u[t]| and |quad|, so every field stays in [0, 2*reach].  Flipping b[i]
+    adds or subtracts 2*m[i] packed the same way, one big-int operation, and
+    reads the field of u[i] for quad; u is unpacked only for kept b."""
     n = len(m)
-    b = [1] * n
+    reach = sum([sum(map(abs, row)) for row in m])
+    lo = -reach if lo is None else lo
+    hi = reach + 1 if hi is None else hi
+    width = (2 * reach).bit_length() or 1
+    field = (1 << width) - 1
+    shifts = [t * width for t in range(n)]
+    bias = sum(reach << s for s in shifts)
+    step = [2 * sum(map(lshift, row, shifts)) for row in m]
+    diag = [4 * m[i][i] for i in range(n)]
     u = [sum(row) for row in m]  # m @ all-ones
     quad = sum(u)
+    packed = bias + sum(map(lshift, u, shifts))
     out = []
     if lo <= quad < hi:
-        out.append((0, [quad], [u[:]]))
-    nb = 0
-    for g in range(1, 1 << (n - 1)):
-        nb_new = g ^ (g >> 1)
-        i = (nb ^ nb_new).bit_length()  # flipped sign position (>= 1)
-        nb = nb_new
-        delta = -2 * b[i]
-        b[i] = -b[i]
-        ai = m[i]
-        quad += 2 * delta * u[i] + 4 * ai[i]
-        for t in range(n):
-            u[t] += ai[t] * delta
+        out.append((0, [quad], [u]))
+    for nb, i, down in _gray_flips(n):
+        ui = (packed >> shifts[i] & field) - reach
+        if down:  # b[i] went from +1 to -1
+            quad += diag[i] - 4 * ui
+            packed -= step[i]
+        else:
+            quad += diag[i] + 4 * ui
+            packed += step[i]
         if lo <= quad < hi:
-            out.append((nb, [quad], [u[:]]))
+            out.append((nb, [quad], [[(packed >> s & field) - reach for s in shifts]]))
     return out
 
 
@@ -258,9 +286,7 @@ def _ring_walk(adj: list, d: int, bounds=None) -> list[tuple]:
     without bounds, for every sign vector."""
     walks = []
     for c, m in enumerate(_adj_components(adj, d)):
-        reach = sum(abs(x) for row in m for x in row)  # |b^T m b| <= reach
-        lo, hi = bounds[c] if bounds else (None, None)
-        walk = _gray_walk(m, -reach if lo is None else lo, reach + 1 if hi is None else hi)
+        walk = _gray_walk(m, *(bounds[c] if bounds else (None, None)))
         if not walk:
             return []  # no sign vector passes this coordinate
         walks.append(walk)
@@ -360,7 +386,7 @@ def enumerate_pd_bases(
         )
         for rec in records
     ]
-    scanned = len(graph_classes(r - 1)) if count_scanned else None
+    scanned = count_graph_classes(r - 1) if count_scanned else None
     return EnumerationResult(r, alpha, seeds, scanned, pruned=not count_scanned)
 
 
@@ -559,7 +585,7 @@ def m_alpha(
         if rep.total != best or rep.realized is None or rep.realized.rank != r:
             raise AssertionError("maximizing seed failed re-certification")
         reports.append(rep)
-    scanned = len(graph_classes(r - 1)) if count_scanned else None
+    scanned = count_graph_classes(r - 1) if count_scanned else None
     return BoundReport(
         name="m_alpha",
         value=best,

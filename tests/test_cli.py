@@ -168,8 +168,12 @@ def test_saturate_cache_env(tmp_path, capsys, monkeypatch):
     (["verify"], {"alpha": "1/5", "seidel": [[0, 1], [1]]}, "square"),
     (["construct", "simplex", "--k", "5"], None, "--alpha"),
     (["saturate", "--rank", "8", "--alpha", "2"], None, "(0, 1)"),
+    (["verify"], {"alpha": 5, "seidel": [[0]]}, "string"),
+    (["verify"], {"gram": 3}, '"rows"'),
+    (["verify"], 3, "object"),
 ], ids=["verify-without-alpha", "verify-ragged-rows", "simplex-without-alpha",
-        "saturate-angle-out-of-range"])
+        "saturate-angle-out-of-range", "verify-numeric-alpha", "verify-gram-not-a-matrix",
+        "verify-not-an-object"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, payload, message):
     if payload is not None:
         path = tmp_path / "input.json"

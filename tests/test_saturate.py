@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equiangular.exactnum import QuadExt, parse_scalar, quad_sign
 from equiangular.graphenum import count_graph_classes
 from equiangular.linalg import psd_check
 from equiangular.saturate import (
+    _gray_walk,
     candidates,
     compatibility_graph,
     enumerate_pd_bases,
@@ -143,7 +147,12 @@ def test_sqrt17_realization_stays_in_field(table3_fast):
 
 @pytest.mark.slow
 def test_m_alpha_10_fifth(m_10_fifth):
-    assert m_10_fifth["report"].value == 16
+    rep = m_10_fifth["report"]
+    assert rep.value == 16
+    assert rep.certificate["seeds"] == 179027
+    assert rep.certificate["totals_histogram"] == {
+        "10": 62740, "11": 57851, "12": 29723, "13": 23664, "14": 4810, "15": 230, "16": 9,
+    }
 
 
 def test_m_star(mstar_reports):
@@ -226,3 +235,40 @@ def test_candidates_scanned_once_per_maximizing_seed(monkeypatch):
     rep = m_alpha(8, Fraction(1, 3))
     winners = [w["graph6"] for w in rep.certificate["maximizing_seeds"]]
     assert len(winners) == 2 and calls == winners
+
+
+def _direct_walk(m, lo, hi):
+    """(mask, [quad], [u]) with u = m b and quad = b^T m b computed from
+    scratch for each sign vector b (b[0] = +1) in Gray order."""
+    n = len(m)
+    out = []
+    for g in range(1 << (n - 1)):
+        mask = g ^ (g >> 1)
+        b = [1] + [-1 if mask >> (i - 1) & 1 else 1 for i in range(1, n)]
+        u = [sum(map(mul, row, b)) for row in m]
+        quad = sum(map(mul, u, b))
+        if (lo is None or lo <= quad) and (hi is None or quad < hi):
+            out.append((mask, [quad], [u]))
+    return out
+
+
+@st.composite
+def _symmetric_int_matrices(draw):
+    n = draw(st.integers(1, 10))
+    bound = draw(st.sampled_from([1, 5, 1000, 10**15]))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(-bound, bound))
+    return m
+
+
+@settings(max_examples=120, deadline=None)
+@given(m=_symmetric_int_matrices(), data=st.data())
+def test_gray_walk_matches_direct_products(m, data):
+    full = _direct_walk(m, None, None)
+    assert _gray_walk(m) == full
+    q = data.draw(st.sampled_from([quad[0] for _, quad, _ in full]))
+    w = data.draw(st.integers(1, 4))
+    for lo, hi in [(q, q + 1), (q - w, q + w), (None, q), (q, None), (q + 1, q)]:
+        assert _gray_walk(m, lo, hi) == _direct_walk(m, lo, hi)
