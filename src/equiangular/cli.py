@@ -12,9 +12,10 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 
 from equiangular import bounds, constructions, linalg, saturate
-from equiangular.exactnum import format_scalar, parse_scalar
+from equiangular.exactnum import Scalar, format_scalar, parse_scalar
 from equiangular.linalg import SymMatrix
 from equiangular.seidel import EquiangularSet, base_size
 
@@ -24,10 +25,21 @@ EXIT_VIOLATION = 2
 
 
 def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write through a temporary file of a unique name in the target directory,
+    so concurrent writers of one path never share a temporary file."""
+    umask = os.umask(0)
+    os.umask(umask)
+    fd, tmp = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or "."
+    )
+    try:
+        with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)  # the mode open(path, "w") gives
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(args, text: str) -> None:
@@ -41,24 +53,54 @@ def _data_path(name: str) -> str:
     return os.path.join(os.path.dirname(__file__), "data", name)
 
 
+CACHE_SCHEMA = 1
+_FILENAME_SAFE = str.maketrans({"/": "_", "-": "m", "+": "p", "*": None, " ": None,
+                                "(": None, ")": None})
+
+
+def _cache_key(rank: int, alpha: Scalar) -> str:
+    """Cache file name of an m_alpha result: the schema version, the rank and
+    the canonical form of the angle, so every spelling of one angle ("1/3",
+    "2/6"; "1/sqrt(17)", "1/sqrt( 17 )") shares one file."""
+    canonical = format_scalar(alpha).translate(_FILENAME_SAFE)
+    return f"m_alpha_v{CACHE_SCHEMA}_r{rank}_{canonical}.json"
+
+
+def _load_cached(path: str, inputs: dict):
+    """The cached report at path, or None if the file is missing, unreadable,
+    malformed, or holds the result of another search."""
+    try:
+        with open(path) as fh:
+            cached = json.load(fh)
+        report = bounds.BoundReport(**cached)
+    except (OSError, ValueError, TypeError):
+        return None
+    if (
+        report.name != "m_alpha"
+        or report.inputs != inputs
+        or type(report.value) is not int
+        or not isinstance(report.certificate, dict)
+    ):
+        return None
+    return report
+
+
 def _cached_m_alpha(rank: int, alpha_str: str, jobs: int):
     """Saturation search with an optional on-disk cache of finished results,
     controlled by EQUIANGULAR_CACHE_DIR (the long-running enumerations are
-    deterministic, so cached reports are exact replays)."""
+    deterministic, so cached reports are exact replays).  A cache file that
+    cannot be used is recomputed and overwritten."""
+    alpha = parse_scalar(alpha_str)
     cache_dir = os.environ.get("EQUIANGULAR_CACHE_DIR")
-    key = f"m_alpha_r{rank}_{alpha_str.replace('/', '_').replace('(', '').replace(')', '')}.json"
     if cache_dir:
-        path = os.path.join(cache_dir, key)
-        if os.path.exists(path):
-            with open(path) as fh:
-                cached = json.load(fh)
-            report = bounds.BoundReport(**cached)
+        path = os.path.join(cache_dir, _cache_key(rank, alpha))
+        report = _load_cached(path, {"rank": rank, "alpha": format_scalar(alpha)})
+        if report is not None:
             return report
-    report = saturate.m_alpha(rank, parse_scalar(alpha_str), jobs=jobs,
-                              count_scanned=rank - 1 <= 7)
+    report = saturate.m_alpha(rank, alpha, jobs=jobs, count_scanned=rank - 1 <= 7)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        _write_atomic(os.path.join(cache_dir, key), json.dumps(report.to_dict()) + "\n")
+        _write_atomic(path, json.dumps(report.to_dict()) + "\n")
     return report
 
 

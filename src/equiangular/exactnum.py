@@ -363,19 +363,22 @@ def parse_scalar(s: str) -> Scalar:
     """Inverse of format_scalar; also accepts the angle shorthand "1/sqrt(d)"."""
     if not isinstance(s, str):
         raise ValueError(f'a scalar must be a string such as "1/5", got {s!r}')
-    m = _INVSQRT_RE.match(s)
-    if m:
-        d = int(m.group("d"))
-        s0, d0 = squarefree_decomposition(d)
-        # 1/sqrt(d) = sqrt(d)/d = (s0/d) * sqrt(d0)
-        return QuadExt(Fraction(0), Fraction(s0, d), d0)
-    m = _SQRT_RE.match(s)
-    if m:
-        b = Fraction(m.group("b"))
-        if m.group("sign") == "-":
-            b = -b
-        return QuadExt(Fraction(m.group("a")), b, int(m.group("d")))
-    return Fraction(s.strip())
+    try:
+        m = _INVSQRT_RE.match(s)
+        if m:
+            d = int(m.group("d"))
+            s0, d0 = squarefree_decomposition(d)
+            # 1/sqrt(d) = sqrt(d)/d = (s0/d) * sqrt(d0)
+            return QuadExt(Fraction(0), Fraction(s0, d), d0)
+        m = _SQRT_RE.match(s)
+        if m:
+            b = Fraction(m.group("b"))
+            if m.group("sign") == "-":
+                b = -b
+            return QuadExt(Fraction(m.group("a")), b, int(m.group("d")))
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in the scalar {s!r}") from None
 
 
 # -- integer polynomials ----------------------------------------------------

@@ -5,10 +5,11 @@ The PSD decision runs a symmetric elimination with diagonal pivoting.  The
 matrix is first scaled into a ring, Z for rational entries and Z[sqrt d] for
 entries in Q(sqrt d), and eliminated fraction-free (Bareiss updates, exact
 divisions), so pivot signs are signs of leading principal minors of a symmetric
-reordering.  Ranks use the same fraction-free elimination with full pivoting.
-The same source lines serve both rings.  An indefinite verdict always carries a
-witness vector v with v^T M v < 0, re-checked against the input before
-returning.
+reordering.  The scaling is integer-only: with c the lcm of all coordinate
+denominators, a coordinate p/q becomes p * (c // q).  Ranks use the same
+fraction-free elimination with full pivoting.  The same source lines serve
+both rings.  An indefinite verdict always carries a witness vector v with
+v^T M v < 0, re-checked against the input before returning.
 """
 
 from __future__ import annotations
@@ -109,10 +110,14 @@ class SymMatrix:
             return (x.a, x.b) if isinstance(x, QuadExt) else (x, zero)
 
         c = lcm(*{y.denominator for r in self.rows for x in r for y in coords(x)})
+
+        def scale(y: Fraction) -> int:  # c*y, exact since y.denominator divides c
+            return y.numerator * (c // y.denominator)
+
         if d is None:
-            return [[int(coords(x)[0] * c) for x in r] for r in self.rows], c
+            return [[scale(coords(x)[0]) for x in r] for r in self.rows], c
         return [
-            [ZSqrt(int(a * c), int(b * c), d) for a, b in map(coords, r)] for r in self.rows
+            [ZSqrt(scale(a), scale(b), d) for a, b in map(coords, r)] for r in self.rows
         ], c
 
     # -- serialization ------------------------------------------------------

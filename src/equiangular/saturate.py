@@ -14,8 +14,9 @@ in one exact ring (see exactnum): Z for rational angles (corner = denominator)
 and Z[sqrt d] for quadratic ones (corner clears denominators).  Each class
 carries det(H) and adj(H) incrementally: extending [[H, b],[b^T, g]] gives
 det' = g*det - b^T adj b and an adjugate assembled from adj and u = adj b in
-O(k^2) ring operations.  With b = bscale*eps for a sign vector eps, the three
-recurring tests are exact ring comparisons:
+O(k^2) ring operations; the adjugate is symmetric, so only the entries on and
+above the diagonal are computed and each is mirrored.  With b = bscale*eps for
+a sign vector eps, the three recurring tests are exact ring comparisons:
 
     positive definite extension:  corner*det - bscale^2 * (eps^T adj eps) > 0
     unit candidate line:          eps^T adj eps == corner*det / bscale^2
@@ -60,6 +61,7 @@ from equiangular.seidel import (
     SeidelMatrix,
     SwitchingOp,
     _clique_number,
+    gram_matrix,
     graph_to_graph6,
     max_clique,
     switching_normalize,
@@ -122,20 +124,7 @@ class BasisSeed:
             self.nonroot_graph6 = graph_to_graph6(self.graph)
 
     def gram(self) -> SymMatrix:
-        a = self.alpha
-        one = Fraction(1) if not isinstance(a, QuadExt) else Fraction(1) + 0 * a
-        rows = []
-        for i in range(self.r):
-            row = []
-            for j in range(self.r):
-                if i == j:
-                    row.append(one)
-                elif 0 in (i, j):
-                    row.append(a)
-                else:
-                    row.append(-a if self.graph.has_edge(i - 1, j - 1) else a)
-            rows.append(row)
-        return SymMatrix(rows)
+        return gram_matrix(self.alpha, self.seidel())
 
     def seidel(self) -> SeidelMatrix:
         rows = []
@@ -211,11 +200,11 @@ def _extend_record(mode: _Mode, rec: dict, nb: int, quad, u: list) -> dict:
     adj = rec["adj"]
     det_new = mode.corner * det - mode.bscale_sq * ring_element(quad, mode.d)
     su = [mode.bscale * x for x in from_components(u, mode.d)]
-    top = [
-        [(det_new * adj[i][j] + su[i] * su[j]) // det for j in range(n)]
-        for i in range(n)
-    ]
-    new_adj = [top[i] + [-su[i]] for i in range(n)]
+    new_adj = [[None] * n + [-x] for x in su]
+    for i in range(n):  # the adjugate is symmetric: fill j >= i and mirror
+        row, adj_i, su_i = new_adj[i], adj[i], su[i]
+        for j in range(i, n):
+            row[j] = new_adj[j][i] = (det_new * adj_i[j] + su_i * su[j]) // det
     new_adj.append([-x for x in su] + [det])
     return {"masks": masks, "det": det_new, "adj": new_adj}
 

@@ -373,6 +373,14 @@ class SwitchingOp:
         return SeidelMatrix(tuple(rows))
 
 
+def gram_matrix(alpha: Scalar, seidel: SeidelMatrix) -> SymMatrix:
+    """The Gram matrix I + alpha*A.  It has three distinct entries, 1, alpha
+    and -alpha; each is built once and looked up by the Seidel entry 0, +1 or
+    -1, so no entry costs a multiplication."""
+    entry = {0: Fraction(1) + 0 * alpha, 1: alpha, -1: -alpha}
+    return SymMatrix([[entry[x] for x in row] for row in seidel.rows])
+
+
 class EquiangularSet:
     """An equiangular line system: angle alpha in (0,1) plus a Seidel matrix.
 
@@ -408,13 +416,7 @@ class EquiangularSet:
         return self.seidel.n
 
     def gram(self) -> SymMatrix:
-        a = self.alpha
-        return SymMatrix(
-            [
-                [Fraction(1) + 0 * a if i == j else a * self.seidel.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
+        return gram_matrix(self.alpha, self.seidel)
 
     @property
     def rank(self) -> int:

@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from equiangular import cli
 from equiangular.cli import main
 
 
@@ -171,9 +175,10 @@ def test_saturate_cache_env(tmp_path, capsys, monkeypatch):
     (["verify"], {"alpha": 5, "seidel": [[0]]}, "string"),
     (["verify"], {"gram": 3}, '"rows"'),
     (["verify"], 3, "object"),
+    (["verify"], {"alpha": "1/0", "seidel": [[0]]}, "zero denominator"),
 ], ids=["verify-without-alpha", "verify-ragged-rows", "simplex-without-alpha",
         "saturate-angle-out-of-range", "verify-numeric-alpha", "verify-gram-not-a-matrix",
-        "verify-not-an-object"])
+        "verify-not-an-object", "verify-zero-denominator"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, payload, message):
     if payload is not None:
         path = tmp_path / "input.json"
@@ -184,3 +189,122 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, payload, me
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rank, spellings", [
+    (8, ["1/3", "2/6", " 1/3"]),
+    (5, ["1/sqrt(17)", "1/sqrt( 17 )", "0 + 1/17*sqrt(17)"]),
+])
+def test_cache_key_is_the_canonical_angle(tmp_path, capsys, monkeypatch, rank, spellings):
+    monkeypatch.setenv("EQUIANGULAR_CACHE_DIR", str(tmp_path))
+    code, first = run_cli(capsys, "saturate", "--rank", str(rank), "--alpha", spellings[0])
+    assert code == 0
+    (cached,) = tmp_path.iterdir()
+    assert all(c.isalnum() or c in "._" for c in cached.name)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the cached result should have been used")
+
+    monkeypatch.setattr(cli.saturate, "m_alpha", no_search)
+    for alpha in spellings[1:]:
+        code, out = run_cli(capsys, "saturate", "--rank", str(rank), "--alpha", alpha)
+        assert code == 0 and json.loads(out) == json.loads(first)
+    assert list(tmp_path.iterdir()) == [cached]
+
+
+@pytest.mark.parametrize("content", [
+    "", "{", "[]", "null", '{"name": "m_alpha"}',
+    json.dumps({"name": "m_alpha", "value": 99, "inputs": {"rank": 8, "alpha": "1/5"},
+                "certificate": {}, "notes": []}),
+    json.dumps({"name": "m_alpha", "value": "14", "inputs": {"rank": 8, "alpha": "1/3"},
+                "certificate": {}, "notes": []}),
+], ids=["empty", "truncated", "list", "null", "missing-fields", "foreign-inputs",
+        "value-not-int"])
+def test_unusable_cache_file_is_recomputed(tmp_path, capsys, monkeypatch, content):
+    monkeypatch.setenv("EQUIANGULAR_CACHE_DIR", str(tmp_path))
+    code, fresh = run_cli(capsys, "saturate", "--rank", "8", "--alpha", "1/3")
+    (cached,) = tmp_path.iterdir()
+    cached.write_text(content)
+    code = main(["saturate", "--rank", "8", "--alpha", "1/3"])
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err
+    assert json.loads(captured.out) == json.loads(fresh)
+    assert json.loads(cached.read_text())["value"] == 14  # overwritten
+    assert list(tmp_path.iterdir()) == [cached]
+
+
+def test_concurrent_atomic_writes_use_distinct_temporary_files(tmp_path, monkeypatch):
+    # a second writer of the same path starts while the first one is between
+    # writing its temporary file and moving it into place
+    target = tmp_path / "out.json"
+    temporaries = []
+    replace = os.replace
+
+    def interleaved(src, dst):
+        temporaries.append(src)
+        if len(temporaries) == 1:
+            cli._write_atomic(str(target), "second\n")
+            assert open(src).read() == "first\n"
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", interleaved)
+    cli._write_atomic(str(target), "first\n")
+    assert len(set(temporaries)) == 2
+    assert all(os.path.dirname(t) == str(tmp_path) for t in temporaries)
+    assert target.read_text() == "first\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+_scalar_texts = st.sampled_from(
+    ["1", "0", "-1", "1/3", "1/5", "-1/5", "2", "1/0", "0/0", "1/sqrt(17)", "1/sqrt(0)",
+     "1/sqrt(4)", "0 + 1/5*sqrt(5)", "1 + 1*sqrt(4)", "abc", "", "1e3", "nan"]
+) | st.text(max_size=8)
+_json_leaves = (
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False) | _scalar_texts
+)
+_json_keys = st.sampled_from(["alpha", "seidel", "gram", "rows", "order", "field"])
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_json_keys | st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _square(elements, n):
+    return st.lists(st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def _verify_documents(draw):
+    """Any JSON document, weighted towards the shapes verify reads: Seidel
+    files and Gram files with small square matrices."""
+    n = draw(st.integers(0, 4))
+    any_square = _square(_json_leaves, n)
+    fields = {
+        "alpha": _scalar_texts | _json_values,
+        "seidel": _square(st.sampled_from([0, 1, -1]), n) | any_square | _json_values,
+        "gram": st.fixed_dictionaries(
+            {"rows": _square(_scalar_texts, n) | any_square},
+            optional={"order": st.integers(0, 5) | _json_values},
+        ) | _json_values,
+        "rows": _square(_scalar_texts, n) | any_square | _json_values,
+        "order": st.just(n) | _json_values,
+    }
+    doc = draw(st.fixed_dictionaries({}, optional=fields))
+    return draw(st.just(doc) | _json_values)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(doc=_verify_documents())
+def test_verify_never_ends_in_a_traceback(tmp_path, capsys, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)

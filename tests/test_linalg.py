@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equiangular.exactnum import IntPoly, QuadExt, poly_eval, quad_sign
+from equiangular.exactnum import IntPoly, QuadExt, ZSqrt, poly_eval, quad_sign
 from equiangular.linalg import (
     INDEFINITE,
     POSITIVE_DEFINITE,
@@ -386,3 +389,53 @@ def test_matrix_json_round_trip():
 def test_char_poly_rejects_non_integer():
     with pytest.raises(ValueError):
         char_poly(SymMatrix.aI_bJ(frac(1, 2), frac(0), 2))
+
+
+def _integral_scaled_by_multiplying(m):
+    """Reference for SymMatrix.integral_scaled: int(y * c) per coordinate."""
+    d = m.radicand()
+    coords = [
+        [(x.a, x.b) if isinstance(x, QuadExt) else (x, Fraction(0)) for x in r] for r in m.rows
+    ]
+    c = lcm(*{y.denominator for r in coords for ab in r for y in ab})
+    if d is None:
+        return [[int(a * c) for a, _ in r] for r in coords], c
+    return [[ZSqrt(int(a * c), int(b * c), d) for a, b in r] for r in coords], c
+
+
+def _ring_key(x):
+    return (type(x), x.a, x.b, x.d) if isinstance(x, ZSqrt) else (type(x), x)
+
+
+_fractions = st.builds(
+    Fraction, st.integers(-60, 60), st.sampled_from([1, 2, 3, 4, 6, 7, 9, 12, 35, 10**12])
+)
+
+
+@st.composite
+def _scalar_matrices(draw):
+    """Symmetric matrices over Q, Q(sqrt 5) or Q(sqrt 17) with mixed
+    denominators; the quadratic kinds may have b = 0 everywhere."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["Q", "Q(sqrt 5)", "Q(sqrt 17)", "b=0 over sqrt 17"]))
+    if kind == "Q":
+        entry = _fractions
+    elif kind == "b=0 over sqrt 17":
+        entry = st.builds(QuadExt, _fractions, st.just(0), st.just(17))
+    else:
+        d = int(kind[7:-1])
+        entry = st.builds(QuadExt, _fractions, _fractions, st.just(d))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(entry)
+    return SymMatrix(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=_scalar_matrices())
+def test_integral_scaled_equals_multiplying_each_coordinate(m):
+    got, c = m.integral_scaled()
+    want, c_want = _integral_scaled_by_multiplying(m)
+    assert c == c_want
+    assert [list(map(_ring_key, r)) for r in got] == [list(map(_ring_key, r)) for r in want]

@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from operator import mul
 
@@ -10,7 +14,9 @@ from equiangular.exactnum import QuadExt, parse_scalar, quad_sign
 from equiangular.graphenum import count_graph_classes
 from equiangular.linalg import psd_check
 from equiangular.saturate import (
+    _alpha_mode,
     _gray_walk,
+    _pd_ladder,
     candidates,
     compatibility_graph,
     enumerate_pd_bases,
@@ -272,3 +278,67 @@ def test_gray_walk_matches_direct_products(m, data):
     w = data.draw(st.integers(1, 4))
     for lo, hi in [(q, q + 1), (q - w, q + w), (None, q), (q, None), (q + 1, q)]:
         assert _gray_walk(m, lo, hi) == _direct_walk(m, lo, hi)
+
+
+@pytest.mark.parametrize("alpha", ["1/5", "1/sqrt(17)"])
+def test_ladder_adjugates_are_exact(alpha):
+    """Every record of the ladder carries a symmetric adjugate with
+    adj(H) H = det(H) I, checked in the ring, for the scaled Gram H of the
+    rooted basis (corner on the diagonal, +-bscale off it)."""
+    mode = _alpha_mode(parse_scalar(alpha))
+    records = _pd_ladder(mode, 6)
+    assert records
+    for rec in records:
+        masks, adj, det = rec["masks"], rec["adj"], rec["det"]
+        n = len(masks) + 1
+        h = [
+            [
+                mode.corner if i == j
+                else -mode.bscale if i and j and masks[i - 1] >> (j - 1) & 1
+                else mode.bscale
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        assert all(adj[i][j] == adj[j][i] for i in range(n) for j in range(i))
+        for i in range(n):
+            for j in range(n):
+                entry = sum((adj[i][t] * h[t][j] for t in range(n)), 0)
+                assert entry == (det if i == j else 0), (rec["masks"], i, j)
+
+
+def test_search_and_psd_checks_run_under_optimize():
+    """Under python -O the saturation search still gives its pinned results
+    (the re-certification of maximizing seeds included), and an indefinite
+    Gram still raises."""
+    import equiangular
+
+    code = """
+import json, sys
+from fractions import Fraction
+from equiangular.saturate import m_alpha
+from equiangular.seidel import EquiangularSet, SeidelMatrix
+assert False, "assert statements must be stripped"
+out = {}
+for q in (3, 5):
+    rep = m_alpha(8, Fraction(1, q))
+    out[q] = [rep.value, rep.certificate["seeds"], rep.certificate["totals_histogram"]]
+five = SeidelMatrix(tuple(tuple(0 if i == j else -1 for j in range(5)) for i in range(5)))
+try:
+    EquiangularSet(Fraction(1, 3), five)  # I + A/3 has eigenvalue -1/3
+    out["indefinite"] = "accepted"
+except ValueError as exc:
+    out["indefinite"] = str(exc)
+print(json.dumps([sys.flags.optimize, out]))
+"""
+    root = os.path.dirname(equiangular.__path__[0])
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    optimize, out = json.loads(proc.stdout)
+    assert optimize == 1
+    assert out["3"] == [14, 3, {"8": 1, "14": 2}]
+    assert out["5"] == [10, 924, {"8": 627, "9": 264, "10": 33}]
+    assert "not positive semidefinite" in out["indefinite"]

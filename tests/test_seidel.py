@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equiangular.constructions import simplex_base
+from equiangular.exactnum import parse_scalar
 from equiangular.linalg import INDEFINITE, psd_check
 from equiangular.seidel import (
     EquiangularSet,
@@ -14,6 +17,7 @@ from equiangular.seidel import (
     base_size,
     base_size_cap,
     graph_from_graph6,
+    gram_matrix,
     graph_to_graph6,
     max_clique,
     seidel_graph,
@@ -244,3 +248,37 @@ def test_equiangular_json_round_trip():
     e = simplex_base(4, Fraction(1, 5))
     e2 = EquiangularSet.from_json(e.to_json())
     assert e2.seidel == e.seidel and e2.alpha == e.alpha
+
+
+@st.composite
+def _seidel_matrices(draw):
+    n = draw(st.integers(1, 12))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from((1, -1)))
+    return SeidelMatrix(tuple(tuple(r) for r in rows))
+
+
+def _entry_key(x):
+    return type(x), repr(x)  # QuadExt repr shows a, b and the radicand
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seidel=_seidel_matrices(),
+    alpha=st.sampled_from(["1/3", "1/5", "1/sqrt(5)", "1/sqrt(17)"]).map(parse_scalar),
+)
+def test_gram_equals_the_per_entry_products(seidel, alpha):
+    # reference: one multiplication per entry, 1 + 0*alpha on the diagonal
+    n = seidel.n
+    want = [
+        [Fraction(1) + 0 * alpha if i == j else alpha * seidel.rows[i][j] for j in range(n)]
+        for i in range(n)
+    ]
+    got = gram_matrix(alpha, seidel)
+    assert [list(map(_entry_key, r)) for r in got.rows] == [
+        list(map(_entry_key, r)) for r in want
+    ]
+    if psd_check(got).verdict != INDEFINITE:
+        assert EquiangularSet(alpha, seidel).gram() == got
