@@ -231,9 +231,9 @@ def _cmd_verify(args) -> int:
         n = len(rows)
         for i in range(n):
             for j in range(n):
-                want = 0 if i == j else (1, -1)
-                if (i == j and rows[i][j] != 0) or (i != j and rows[i][j] not in want):
-                    problems.append({"entry": [i, j], "value": str(rows[i][j]),
+                x = rows[i][j]
+                if type(x) is not int or x not in ((0,) if i == j else (1, -1)):
+                    problems.append({"entry": [i, j], "value": str(x),
                                      "reason": "not a Seidel matrix entry"})
         if not problems:
             try:
@@ -417,12 +417,27 @@ def _diff_lines(expected: str, got: str) -> list:
 # -- parser -------------------------------------------------------------------------
 
 
+MAX_JOBS = 64
+
+
+def _jobs(text: str) -> int:
+    """The --jobs value: a worker count from 1 to MAX_JOBS, checked before
+    any worker starts."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 1 <= jobs <= MAX_JOBS:
+        raise argparse.ArgumentTypeError(f"must lie in 1..{MAX_JOBS}, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="equiangular",
                                 description="exact equiangular-line computations")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for parallel searches (results are "
-                        "independent of this setting)")
+    p.add_argument("--jobs", type=_jobs, default=min(os.cpu_count() or 1, MAX_JOBS),
+                   help=f"worker processes for parallel searches, 1 to {MAX_JOBS} "
+                        "(results are independent of this setting)")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     b = sub.add_parser("bound", help="bound computations")

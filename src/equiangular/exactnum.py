@@ -332,14 +332,6 @@ def scalar_floor(x: Scalar) -> int:
     return m
 
 
-def sqrt_quad(d: int) -> QuadExt:
-    """sqrt(n) as an exact scalar: s*sqrt(d0) with n = s^2 d0 squarefree-decomposed."""
-    s, d0 = squarefree_decomposition(d)
-    if d0 == 1:
-        return QuadExt(Fraction(s), Fraction(0), 2)
-    return QuadExt(Fraction(0), Fraction(s), d0)
-
-
 # -- serialization ---------------------------------------------------------
 
 _SQRT_RE = re.compile(
@@ -359,14 +351,27 @@ def format_scalar(x: Scalar) -> str:
     return str(Fraction(x))
 
 
+MAX_RADICAND = 10**6  # every angle of the paper has d <= 19
+
+
+def _radicand(digits: str) -> int:
+    """The d of a parsed sqrt(d), at most MAX_RADICAND: the squarefree tests
+    trial-divide up to sqrt(d)."""
+    if len(digits.lstrip("0")) <= len(str(MAX_RADICAND)) and int(digits) <= MAX_RADICAND:
+        return int(digits)
+    shown = digits if len(digits) <= 24 else digits[:24] + "..."
+    raise ValueError(f"the radicand {shown} is above the supported bound {MAX_RADICAND}")
+
+
 def parse_scalar(s: str) -> Scalar:
-    """Inverse of format_scalar; also accepts the angle shorthand "1/sqrt(d)"."""
+    """Inverse of format_scalar; also accepts the angle shorthand "1/sqrt(d)".
+    Radicands above MAX_RADICAND are rejected."""
     if not isinstance(s, str):
         raise ValueError(f'a scalar must be a string such as "1/5", got {s!r}')
     try:
         m = _INVSQRT_RE.match(s)
         if m:
-            d = int(m.group("d"))
+            d = _radicand(m.group("d"))
             s0, d0 = squarefree_decomposition(d)
             # 1/sqrt(d) = sqrt(d)/d = (s0/d) * sqrt(d0)
             return QuadExt(Fraction(0), Fraction(s0, d), d0)
@@ -375,7 +380,7 @@ def parse_scalar(s: str) -> Scalar:
             b = Fraction(m.group("b"))
             if m.group("sign") == "-":
                 b = -b
-            return QuadExt(Fraction(m.group("a")), b, int(m.group("d")))
+            return QuadExt(Fraction(m.group("a")), b, _radicand(m.group("d")))
         return Fraction(s.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in the scalar {s!r}") from None

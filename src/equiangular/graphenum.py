@@ -21,6 +21,11 @@ refinement of any other child stops as soon as the new vertex leaves color 0.
 An accepted child has run every round, so its colors are those of a full
 ``refine_colors`` call.
 
+The duplicate filter (``ClassSet``) holds one int per class, its adjacency
+and colors packed together, under an int-encoded invariant key; the colors
+are stored, never recomputed, for the isomorphism tests.  A ladder step thus
+needs the parent level plus one int per new class.
+
 Adjacency is the bitmask-row form of seidel.Graph.
 """
 
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
+from operator import lshift
 from typing import Iterable, Iterator, Sequence
 
 from equiangular.seidel import Graph, bits
@@ -70,21 +76,6 @@ def refine_colors(
         if _watch is not None and col[_watch]:
             break
     return col
-
-
-def invariant_key(nv: int, adj: Sequence[int], col: Sequence[int] | None = None):
-    if col is None:
-        col = refine_colors(nv, adj)
-    hist = tuple(sorted(col))
-    edge_cols = tuple(
-        sorted(
-            tuple(sorted((col[v], col[u])))
-            for v in range(nv)
-            for u in bits(adj[v])
-            if u > v
-        )
-    )
-    return (nv, hist, edge_cols)
 
 
 def find_isomorphism(
@@ -136,27 +127,71 @@ def find_isomorphism(
     return mapping if bt(0) else None
 
 
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    return g1.n == g2.n and find_isomorphism(g1.n, g1.adj, g2.adj) is not None
-
-
 class ClassSet:
-    """Deduplicated collection of graph classes at one vertex count."""
+    """Deduplicated collection of graph classes at one vertex count, held as
+    one int per class.
+
+    A class is stored as its adjacency rows (``nv`` bits each) followed by its
+    refinement colors (enough bits each for a color below ``nv``), packed
+    into one int.  It is filed under its invariant key, itself one int: the
+    count of each color, then the number of edges joining each pair of
+    colors, in fixed-width fields wide enough for any count, so two keys are
+    equal exactly when the sorted color histograms and the sorted edge-color
+    pairs are.  The first class of a key is held in ``first``, any further
+    class with that key in ``rest``; a new graph is compared, by
+    ``find_isomorphism`` on the unpacked rows and colors, only with the
+    classes of its key."""
 
     def __init__(self, nv: int):
         self.nv = nv
-        self.buckets: dict = {}
-        self.members: list[AdjList] = []
+        self.first: dict[int, int] = {}
+        self.rest: dict[int, list[int]] = {}
+        cbits = max(nv - 1, 1).bit_length()
+        self._row_mask = (1 << nv) - 1
+        self._col_mask = (1 << cbits) - 1
+        self._row_shifts = [nv * v for v in range(nv)]
+        self._col_shifts = [nv * nv + cbits * v for v in range(nv)]
+        hbits = nv.bit_length()  # a color count is at most nv
+        ebits = (nv * (nv - 1) // 2).bit_length() or 1  # an edge count, at most nv choose 2
+        self._hist = [1 << hbits * c for c in range(nv)]
+        # the pair of colors lo <= hi has edge-count field number hi*(hi+1)/2 + lo
+        self._pair = [
+            [1 << hbits * nv + ebits * (max(a, b) * (max(a, b) + 1) // 2 + min(a, b))
+             for b in range(nv)]
+            for a in range(nv)
+        ]
+
+    def _key(self, adj: AdjList, col: Sequence[int]) -> int:
+        pair = self._pair
+        key = sum([self._hist[c] for c in col])
+        for v, a in enumerate(adj):
+            row = pair[col[v]]
+            key += sum([row[col[u]] for u in bits(a >> v + 1 << v + 1)])
+        return key
+
+    def _unpack(self, packed: int) -> tuple[AdjList, list[int]]:
+        rows, cols = self._row_mask, self._col_mask
+        return (
+            [packed >> s & rows for s in self._row_shifts],
+            [packed >> s & cols for s in self._col_shifts],
+        )
 
     def add(self, adj: AdjList, col: Sequence[int]) -> bool:
         """Insert unless isomorphic to a stored class; returns True if new."""
-        key = invariant_key(self.nv, adj, col)
-        bucket = self.buckets.setdefault(key, [])
-        for other, ocol in bucket:
-            if find_isomorphism(self.nv, adj, other, col, ocol) is not None:
-                return False
-        bucket.append((adj, col))
-        self.members.append(adj)
+        key = self._key(adj, col)
+        stored = self.first.get(key)
+        if stored is not None:
+            for other in [stored, *self.rest.get(key, ())]:
+                oadj, ocol = self._unpack(other)
+                if find_isomorphism(self.nv, adj, oadj, col, ocol) is not None:
+                    return False
+        packed = sum(map(lshift, adj, self._row_shifts)) + sum(
+            map(lshift, col, self._col_shifts)
+        )
+        if stored is None:
+            self.first[key] = packed
+        else:
+            self.rest.setdefault(key, []).append(packed)
         return True
 
 

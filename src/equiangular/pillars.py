@@ -65,12 +65,6 @@ class PillarDecomposition:
     pillars: dict  # SignVector key string -> tuple of vertices
     applied_flips: frozenset[int]
 
-    def pillar_of(self, vertex: int) -> str | None:
-        for key, verts in self.pillars.items():
-            if vertex in verts:
-                return key
-        return None
-
     def sizes(self) -> dict:
         return {key: len(v) for key, v in self.pillars.items()}
 

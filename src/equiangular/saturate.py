@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import islice
 from math import lcm
 from operator import lshift, mul
 from typing import Sequence
@@ -506,6 +507,31 @@ def _total_worker(args) -> int:
     return _total_from_record(mode, {"det": det, "adj": adjrows}, r)
 
 
+def _final_totals(mode: _Mode, parents: list[dict], r: int, jobs: int):
+    """(graph masks, saturation total) for every class of the final level,
+    in arrival order.  With one job each class is reduced as soon as the
+    ladder yields it; with more, classes go to a worker pool in batches."""
+    records = (
+        (tuple(masks), _extend_record(mode, *child))
+        for child, masks in attach_vertex(r - 2, _pd_children(mode, parents))
+    )
+    if jobs <= 1:
+        for masks, rec in records:
+            yield masks, _total_from_record(mode, rec, r)
+        return
+    from multiprocessing import Pool
+
+    pool = Pool(jobs)
+    try:
+        while batch := list(islice(records, 1024)):
+            args = [(mode, rec["det"], rec["adj"], r) for _, rec in batch]
+            totals = pool.map(_total_worker, args, chunksize=16)
+            yield from zip([masks for masks, _ in batch], totals)
+    finally:
+        pool.close()
+        pool.join()
+
+
 def m_alpha(
     r: int,
     alpha: Scalar,
@@ -516,8 +542,10 @@ def m_alpha(
     by saturation over every PD basis class.
 
     The final enumeration level is streamed: each new class is reduced to its
-    saturation total at once and its search data discarded, so the memory
-    footprint stays at the previous level plus the duplicate filter.
+    saturation total (at once with one job, per batch with a pool) and only
+    the total is kept, in a histogram, with the graph masks of the classes
+    that tie the running maximum.  The memory footprint stays at the
+    previous level plus one int per class in the duplicate filter.
     """
     if r < 2:
         raise ValueError("rank >= 2 required")
@@ -525,47 +553,23 @@ def m_alpha(
         count_scanned = r - 1 <= 7
     mode = _alpha_mode(alpha)
     parents = _pd_ladder(mode, r - 2)
-    masks_list: list[tuple[int, ...]] = []
-    totals: list[int] = []
-    batch: list = []
-    pool = None
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        pool = Pool(jobs)
-
-    def flush():
-        if not batch:
-            return
-        if pool is not None:
-            totals.extend(pool.map(_total_worker, batch, chunksize=16))
-        else:
-            totals.extend(_total_worker(a) for a in batch)
-        batch.clear()
-
-    try:
-        for child, masks in attach_vertex(r - 2, _pd_children(mode, parents)):
-            rec = _extend_record(mode, *child)
-            masks_list.append(tuple(masks))
-            batch.append((mode, rec["det"], rec["adj"], r))
-            if len(batch) >= 1024:
-                flush()
-        flush()
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
-    if not totals:
+    histogram: dict[int, int] = {}
+    best, maximizers = 0, []  # masks of the seeds tying the maximum, in arrival order
+    for masks, total in _final_totals(mode, parents, r, jobs):
+        histogram[total] = histogram.get(total, 0) + 1
+        if total > best:
+            best, maximizers = total, []
+        if total == best:
+            maximizers.append(masks)
+    if not histogram:
         raise ValueError("no positive definite basis exists for this rank and angle")
-    best = max(totals)
-    best_idx = [i for i, t in enumerate(totals) if t == best]
     reports = []
-    for i in best_idx:
-        rec = _record_for_masks(mode, masks_list[i])
+    for masks in maximizers:
+        rec = _record_for_masks(mode, masks)
         seed = BasisSeed(
             r=r,
             alpha=alpha,
-            graph=Graph(r - 1, masks_list[i]),
+            graph=Graph(r - 1, masks),
             mode=mode,
             det=rec["det"],
             adjugate=rec["adj"],
@@ -580,10 +584,10 @@ def m_alpha(
         value=best,
         inputs={"rank": r, "alpha": format_scalar(alpha if isinstance(alpha, QuadExt) else Fraction(alpha))},
         certificate={
-            "seeds": len(totals),
+            "seeds": sum(histogram.values()),
             "classes_scanned": scanned,
             "pruned_enumeration": not count_scanned,
-            "totals_histogram": _histogram(totals),
+            "totals_histogram": {str(t): n for t, n in sorted(histogram.items())},
             "maximizing_seeds": [
                 {
                     "graph6": rep.seed.nonroot_graph6,
@@ -595,13 +599,6 @@ def m_alpha(
             ],
         },
     )
-
-
-def _histogram(totals: Sequence[int]) -> dict:
-    out: dict[int, int] = {}
-    for t in totals:
-        out[t] = out.get(t, 0) + 1
-    return {str(k): v for k, v in sorted(out.items())}
 
 
 def _assert_saturated(rep: SaturationReport, graph: Graph) -> None:

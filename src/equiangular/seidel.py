@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from equiangular import linalg
@@ -290,6 +291,8 @@ class SeidelMatrix:
         n = len(self.rows)
         if n < 1 or any(len(r) != n for r in self.rows):
             raise ValueError("square matrix required")
+        if set(map(type, chain.from_iterable(self.rows))) != {int}:
+            raise ValueError("entries must be integers")
         for i in range(n):
             if self.rows[i][i] != 0:
                 raise ValueError("diagonal must be zero")

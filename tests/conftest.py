@@ -1,8 +1,13 @@
-import pytest
-
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
+
 from equiangular import constructions, saturate
+from equiangular.bounds import BoundReport
 from equiangular.exactnum import parse_scalar
 
 
@@ -44,16 +49,38 @@ def table3_fast():
     return cells
 
 
+_M_10_FIFTH = """
+import json, resource, time
+from fractions import Fraction
+from equiangular import saturate
+t0 = time.monotonic()
+rep = saturate.m_alpha(10, Fraction(1, 5), count_scanned=False)
+elapsed = time.monotonic() - t0
+rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"report": rep.to_dict(), "elapsed": elapsed, "ru_maxrss": rss_kb}))
+"""
+
+
 @pytest.fixture(scope="session")
 def m_10_fifth():
-    """The minutes-scale (10, 1/5) Table-3 cell, searched once per session
-    for every test that checks it; the elapsed wall time is stored under the
-    "elapsed" key."""
-    import time
+    """The minutes-scale (10, 1/5) Table-3 cell, searched once per session in
+    a fresh python process for every test that checks it.  The report is
+    rebuilt from its ``to_dict()``; the search's wall time is stored under
+    the "elapsed" key and the process's peak resident set under
+    "peak_rss_mb"."""
+    import equiangular
 
-    t0 = time.monotonic()
-    rep = saturate.m_alpha(10, Fraction(1, 5), count_scanned=False)
-    return {"report": rep, "elapsed": time.monotonic() - t0}
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(equiangular.__path__[0]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _M_10_FIFTH], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    return {
+        "report": BoundReport(**out["report"]),
+        "elapsed": out["elapsed"],
+        "peak_rss_mb": out["ru_maxrss"] / 1024,  # ru_maxrss is in KiB on Linux
+    }
 
 
 @pytest.fixture(scope="session")

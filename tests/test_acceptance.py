@@ -148,7 +148,10 @@ def test_criterion_8_table3(table3_fast):
 @pytest.mark.slow
 def test_criterion_8_table3_rank10_slow(m_10_fifth):
     assert m_10_fifth["report"].value == 16
-    _announce(8, f"(10, 1/5) saturation cell = 16 ({m_10_fifth['elapsed']:.0f}s)")
+    peak = m_10_fifth["peak_rss_mb"]
+    assert peak < 150  # the whole search in one process, flat-memory gate
+    _announce(8, f"(10, 1/5) saturation cell = 16 ({m_10_fifth['elapsed']:.0f}s, "
+                 f"peak RSS {peak:.0f} MB)")
 
 
 def test_criterion_9_m_star(mstar_reports):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -108,6 +109,49 @@ def test_verify_rejects_non_seidel(tmp_path, capsys):
     assert code == 1
     code, out = run_cli(capsys, "verify", str(path))
     assert code == 2
+
+
+def test_verify_rejects_non_integer_entries(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text('{"alpha": "1/3", "seidel": [[0, true], [true, 0.0]]}')
+    code, out = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    payload = json.loads(out)
+    assert not payload["ok"]
+    assert [v["entry"] for v in payload["violations"]] == [[0, 1], [1, 0], [1, 1]]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "100000", "two"])
+def test_jobs_out_of_range_is_rejected_by_the_parser(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["--jobs", jobs, "bound", "k3", "--rank", "23"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_jobs_within_range_is_accepted():
+    for jobs in (1, cli.MAX_JOBS):
+        args = cli.build_parser().parse_args(["--jobs", str(jobs), "bound", "k3", "--rank", "23"])
+        assert args.jobs == jobs
+    assert 1 <= cli.build_parser().parse_args(["bound", "k3", "--rank", "23"]).jobs <= cli.MAX_JOBS
+
+
+@pytest.mark.parametrize("alpha", [
+    "0 + 1*sqrt(100000000000031)",
+    "1/sqrt(100000000000000000039)",
+    "1/sqrt(" + "7" * 5000 + ")",
+])
+def test_large_radicand_is_rejected_at_once(tmp_path, capsys, alpha):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"alpha": alpha, "seidel": [[0]]}))
+    for argv in (["verify", str(path)], ["bound", "relative", "--rank", "9", "--alpha", alpha]):
+        t0 = time.monotonic()
+        code = main(argv)
+        elapsed = time.monotonic() - t0
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "radicand" in err
+        assert elapsed < 0.5
 
 
 def test_octads_export(tmp_path, capsys):

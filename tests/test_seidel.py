@@ -52,6 +52,12 @@ def test_seidel_graph_convention():
     assert g.edge_count() == 10 and all(g.degree(v) == 4 for v in range(5))
 
 
+@pytest.mark.parametrize("rows", [((0, True), (True, 0)), ((0.0, 1), (1, 0)), ((0, -1.0), (-1.0, 0))])
+def test_seidel_matrix_rejects_non_integer_entries(rows):
+    with pytest.raises(ValueError, match="integers"):
+        SeidelMatrix(rows)
+
+
 def test_switch_identity_and_k2_flip():
     e = simplex_base(2, Fraction(1, 3))
     assert switch(e, SwitchingOp.identity(2)).seidel == e.seidel
