@@ -204,6 +204,8 @@ def _cmd_construct(args) -> int:
         _emit(args, e.to_json())
         return EXIT_OK
     if what == "block52":
+        if args.ell is None:
+            raise ValueError("construct block52 needs --ell")
         e = constructions.block_52_equiangular(args.ell)
         _emit(args, e.to_json())
         return EXIT_OK
@@ -516,7 +518,7 @@ def main(argv=None) -> int:
             return _cmd_mstar(args)
         if args.cmd == "reproduce":
             return _cmd_reproduce(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

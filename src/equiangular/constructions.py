@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from equiangular.exactnum import QuadExt, Scalar, quad_sign, squarefree_decomposition
+from equiangular.exactnum import QuadExt, Scalar, inv_sqrt, quad_sign
 from equiangular.linalg import SymMatrix
 from equiangular.pillars import PillarDecomposition, decompose
 from equiangular.seidel import EquiangularSet, SeidelMatrix, SwitchingOp, switch
@@ -334,9 +334,7 @@ def conference_etf(c: ConferenceMatrix) -> EquiangularSet:
     """The 2r lines of rank r with angle 1/sqrt(2r-1) whose Gram matrix is
     I - (1/sqrt(2r-1)) B; meets the Welch bound with equality."""
     n = c.order
-    d = n - 1  # 2r - 1
-    s, d0 = squarefree_decomposition(d)
-    alpha = QuadExt(Fraction(0), Fraction(s, d), d0)
+    alpha = inv_sqrt(n - 1)  # 1/sqrt(2r - 1)
     seidel = SeidelMatrix(
         tuple(tuple(-x for x in row) for row in c.rows)
     )  # G = I - alpha*B = I + alpha*(-B)

@@ -363,6 +363,15 @@ def _radicand(digits: str) -> int:
     raise ValueError(f"the radicand {shown} is above the supported bound {MAX_RADICAND}")
 
 
+def inv_sqrt(d: int) -> Scalar:
+    """1/sqrt(d) for d >= 1: with d = s^2 * d0 and d0 squarefree, it is
+    (s/d) * sqrt(d0), or the rational 1/s when d is a perfect square."""
+    s, d0 = squarefree_decomposition(d)
+    if d0 == 1:
+        return Fraction(1, s)
+    return QuadExt(Fraction(0), Fraction(s, d), d0)
+
+
 def parse_scalar(s: str) -> Scalar:
     """Inverse of format_scalar; also accepts the angle shorthand "1/sqrt(d)".
     Radicands above MAX_RADICAND are rejected."""
@@ -371,10 +380,7 @@ def parse_scalar(s: str) -> Scalar:
     try:
         m = _INVSQRT_RE.match(s)
         if m:
-            d = _radicand(m.group("d"))
-            s0, d0 = squarefree_decomposition(d)
-            # 1/sqrt(d) = sqrt(d)/d = (s0/d) * sqrt(d0)
-            return QuadExt(Fraction(0), Fraction(s0, d), d0)
+            return inv_sqrt(_radicand(m.group("d")))
         m = _SQRT_RE.match(s)
         if m:
             b = Fraction(m.group("b"))

@@ -383,10 +383,6 @@ def enumerate_pd_bases(
 # -- candidate lines -------------------------------------------------------------
 
 
-def _candidate_data(seed: BasisSeed):
-    return _candidate_data_raw(seed.mode, seed.det, seed.adjugate, seed.r)
-
-
 def _candidate_data_raw(mode: _Mode, det, adj, r: int):
     """(eps, u = adjugate @ eps in integer coordinates) for every unit
     candidate line, walking the 2^(r-1) sign vectors (root sign fixed +1)."""
@@ -400,7 +396,8 @@ def _candidate_data_raw(mode: _Mode, det, adj, r: int):
 def candidates(seed: BasisSeed) -> CandidateSet:
     """All unit vectors whose inner products with every basis vector are
     +-alpha; exact coordinates in the basis are computed on first read."""
-    return CandidateSet(seed, [CandidateLine(eps, u, seed) for eps, u in _candidate_data(seed)])
+    data = _candidate_data_raw(seed.mode, seed.det, seed.adjugate, seed.r)
+    return CandidateSet(seed, [CandidateLine(eps, u, seed) for eps, u in data])
 
 
 def _compat_target(mode: _Mode, det) -> list[int] | None:
@@ -418,10 +415,6 @@ def _pair_sign(seed: BasisSeed, u_i, eps_j) -> int:
     if tgt is not None and dots == [-x for x in tgt]:
         return -1
     raise ValueError("pair is not compatible")
-
-
-def _compat_adj(seed: BasisSeed, data) -> list[int]:
-    return _compat_adj_raw(seed.mode, seed.det, data, seed.r)
 
 
 def _compat_adj_raw(mode: _Mode, det, data, r: int) -> list[int]:
@@ -447,7 +440,8 @@ def compatibility_graph(cands: CandidateSet) -> Graph:
     if nc == 0:
         return Graph(1, (0,))
     data = [(line.sign_vector, line.u) for line in cands.lines]
-    return Graph(nc, tuple(_compat_adj(cands.seed, data)))
+    seed = cands.seed
+    return Graph(nc, tuple(_compat_adj_raw(seed.mode, seed.det, data, seed.r)))
 
 
 def realize(seed: BasisSeed, cands: CandidateSet, chosen: Sequence[int]) -> EquiangularSet:
@@ -665,7 +659,8 @@ def m_star(r: int, jobs: int = 1) -> BoundReport:
                 "alpha": f"1/sqrt({2 * r - 1})",
                 "method": "neumann_excluded",
                 "excluded": True,
-                "note": "conference branch requires odd rank",
+                "note": "conference branch requires odd rank" if r % 2 == 0
+                else f"1/sqrt({2 * r - 1}) is rational, an odd reciprocal covered above",
             }
         )
     report = BoundReport(

@@ -1,14 +1,20 @@
+import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from equiangular import linalg
 from equiangular.bounds import (
     B4_CLASSES,
     DEGREE_CLASS_CAPS,
+    T1111_CAP,
     PillarStructureError,
-    TwoPillarInstance,
+    _coexistence_feasible_st,
+    _m_scaled,
     coexistence_check,
     degree_class_cap,
     gerzon_bound,
@@ -87,6 +93,19 @@ def test_pillar_coexistence_bound_values():
         assert sum(quad) == value
 
 
+def test_pillar_coexistence_matches_a_scan_of_every_point():
+    for n in range(2, 6):
+        big = n * n * (n + 1) * (n + 1)
+        points = [(s, t) for t in range(big + 1) for s in range(big + 1)
+                  if _coexistence_feasible_st(n, s, t)]
+        best = max(s + 2 * t for s, t in points)
+        rep = pillar_coexistence_bound(n)
+        assert rep.value == best
+        # the optima are the vertices on the best line, one per t (its largest s)
+        optima = sorted((s, t) for s, t in points if s + 2 * t == best)
+        assert [(o["s"], o["t"]) for o in rep.certificate["optima"]] == optima[::-1]
+
+
 def test_pillar_coexistence_matches_closed_form():
     for n in range(2, 9):
         branches = []
@@ -110,6 +129,51 @@ def test_single_variable_caps():
         assert len(caps) == 1
 
 
+def _product_scan(cls):
+    """Reference for degree_class_cap: every value tuple of the class's box,
+    in lexicographic order."""
+    masks = B4_CLASSES[cls]
+    cap = single_variable_cap(masks[0])
+    best, arg = 0, {m: 0 for m in masks}
+    for vals in product(range(cap + 1), repeat=len(masks)):
+        if sum(vals) > best and instance_feasible(dict(zip(masks, vals))):
+            best, arg = sum(vals), dict(zip(masks, vals))
+    return best, arg
+
+
+@pytest.mark.slow
+def test_degree_class_cap_matches_the_full_box_scan():
+    for cls in (1, 2, 3):
+        assert degree_class_cap(cls) == _product_scan(cls)
+
+
+@given(st.dictionaries(st.integers(0, 15), st.integers(0, 8), max_size=6))
+def test_feasibility_is_downward_closed(t):
+    assume(instance_feasible(t))
+    for mask, value in t.items():
+        if value:
+            assert instance_feasible({**t, mask: value - 1})
+
+
+DEGREE_CLASS_REPORTS = {
+    1: {"0001": 4, "0010": 4, "0100": 4, "1000": 4},
+    2: {"0101": 2, "0110": 2, "1001": 2, "1010": 2, "1100": 5},
+    3: {"0111": 4, "1011": 4, "1101": 4, "1110": 4},
+}
+
+
+@pytest.mark.parametrize("cls", [1, 2, 3])
+def test_degree_class_reports_are_pinned(cls):
+    report = two_31_pillar_search(degree_class=cls).to_dict()
+    assert json.dumps(report, sort_keys=True) == json.dumps({
+        "name": f"two_31_degree_class_{cls}",
+        "value": DEGREE_CLASS_CAPS[cls],
+        "inputs": {"alpha": "1/5", "K": 3, "class": cls},
+        "certificate": {"argmax": DEGREE_CLASS_REPORTS[cls]},
+        "notes": [],
+    }, sort_keys=True)
+
+
 def test_degree_class_caps():
     for cls, want in [(1, 16), (2, 13), (3, 16)]:
         cap, arg = degree_class_cap(cls)
@@ -120,12 +184,33 @@ def test_degree_class_caps():
     assert sorted(arg.values()) == [4, 4, 4, 4]
 
 
+def _schur_matrix(t):
+    """The paper's 4x4 matrix M whose positive semidefiniteness constrains the
+    occupation numbers t_B, in rationals: from the inner products 1/4 (bit 0)
+    and -1/5 (bit 1) of a pattern-B vector with the 4 opposite vectors."""
+    def ip(mask, i):
+        return Fraction(-1, 5) if mask >> i & 1 else Fraction(1, 4)
+
+    n = sum(t.values())
+    w = [sum(c * ip(b, i) for b, c in t.items()) for i in range(4)]
+    v = [[sum(c * ip(b, i) * ip(b, j) for b, c in t.items()) for j in range(4)]
+         for i in range(4)]
+    coef = Fraction(10, 9 * (9 + n))
+    return linalg.SymMatrix([
+        [(1 if i == j else Fraction(1, 10)) - Fraction(10, 9) * v[i][j] + coef * w[i] * w[j]
+         for j in range(4)]
+        for i in range(4)
+    ])
+
+
 def test_instance_feasibility_matches_exact_psd():
     rng = random.Random(42)
     for _ in range(300):
         t = {m: rng.randrange(0, 6) for m in rng.sample(range(16), rng.randrange(1, 5))}
-        inst = TwoPillarInstance(t)
-        assert instance_feasible(t) == linalg.psd_check(inst.schur_matrix()).is_psd
+        m = _schur_matrix(t)
+        scale = 360 * (9 + sum(t.values()))
+        assert _m_scaled(t) == [[scale * m.entry(i, j) for j in range(4)] for i in range(4)]
+        assert instance_feasible(t) == linalg.psd_check(m).is_psd
 
 
 def test_table2_rows_and_maximum():
@@ -138,6 +223,12 @@ def test_table2_rows_and_maximum():
     assert report.value == 54
     assert report.certificate["per_variable_caps"] == [9, 7, 7, 9, 39]
     assert report.certificate["degree_class_caps"] == [16, 13, 16]
+
+
+@pytest.mark.parametrize("t1111", [-1, T1111_CAP + 1, 100000])
+def test_table2_row_outside_the_strata_is_rejected(t1111):
+    with pytest.raises(ValueError, match="t1111"):
+        table2_row(t1111)
 
 
 def test_table2_single_rows():
@@ -229,6 +320,14 @@ def test_neumann_restriction():
     assert res.applies and res.conference_angle == parse_scalar("1/sqrt(17)")
     res = neumann_restriction(8, 14)  # does not exceed 2r-2 = 14
     assert not res.applies
+    res = neumann_restriction(5, 9)  # 1/sqrt(9) = 1/3 is an odd reciprocal
+    assert res.applies and res.conference_angle is None
+
+
+@pytest.mark.parametrize("size, r", [(2, 2), (0, 1), (-2, 0)])
+def test_neumann_candidates_need_a_positive_multiplicity(size, r):
+    with pytest.raises(ValueError):
+        neumann_candidates(size, r)
 
 
 def test_neumann_candidates_match_printed_list():

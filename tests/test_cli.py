@@ -220,10 +220,16 @@ def test_saturate_cache_env(tmp_path, capsys, monkeypatch):
     (["verify"], {"gram": 3}, '"rows"'),
     (["verify"], 3, "object"),
     (["verify"], {"alpha": "1/0", "seidel": [[0]]}, "zero denominator"),
+    (["bound", "table2", "--t1111", "-1"], None, "t1111"),
+    (["bound", "table2", "--t1111", "100000"], None, "t1111"),
+    (["construct", "block52"], None, "--ell"),
+    (["verify", "{tmp}"], None, "Is a directory"),
 ], ids=["verify-without-alpha", "verify-ragged-rows", "simplex-without-alpha",
         "saturate-angle-out-of-range", "verify-numeric-alpha", "verify-gram-not-a-matrix",
-        "verify-not-an-object", "verify-zero-denominator"])
+        "verify-not-an-object", "verify-zero-denominator", "table2-negative-t1111",
+        "table2-t1111-above-its-cap", "block52-without-ell", "verify-a-directory"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, payload, message):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if payload is not None:
         path = tmp_path / "input.json"
         path.write_text(json.dumps(payload))
@@ -238,6 +244,7 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, payload, me
 @pytest.mark.parametrize("rank, spellings", [
     (8, ["1/3", "2/6", " 1/3"]),
     (5, ["1/sqrt(17)", "1/sqrt( 17 )", "0 + 1/17*sqrt(17)"]),
+    (8, ["1/3", "1/sqrt(9)"]),
 ])
 def test_cache_key_is_the_canonical_angle(tmp_path, capsys, monkeypatch, rank, spellings):
     monkeypatch.setenv("EQUIANGULAR_CACHE_DIR", str(tmp_path))
@@ -352,3 +359,66 @@ def test_verify_never_ends_in_a_traceback(tmp_path, capsys, doc):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
+
+
+_ranks = st.integers(-3, 6).map(str)
+_sizes = st.integers(-5, 40).map(str)
+_outs = st.sampled_from(["{tmp}/out.json", "{tmp}", "{tmp}/missing/out.json"])
+_angles = st.sampled_from(["1/3", "1/5", "1/7", "1/sqrt(17)", "1/sqrt(9)", "-1/5"]) | _scalar_texts
+_ells = st.lists(st.integers(-5, 40), max_size=5).map(lambda xs: ",".join(map(str, xs)))
+# per command: the options with their values (None for a switch), and the
+# options the command needs
+_COMMANDS = {
+    ("bound", "coexistence"): ({"--n": _sizes, "--ell": _ells | st.text(max_size=6)}, {"--n"}),
+    ("bound", "table2"): ({"--t1111": _sizes, "--table": None}, set()),
+    ("bound", "k3"): ({"--rank": _ranks}, {"--rank"}),
+    ("bound", "k4"): ({"--rank": _ranks, "--s-value": _sizes}, {"--rank"}),
+    ("bound", "k5"): ({"--rank": _ranks}, {"--rank"}),
+    ("bound", "neumann"): ({"--rank": _ranks, "--count": _sizes}, {"--rank", "--count"}),
+    ("bound", "neumann-candidates"): ({"--size": _sizes, "--rank": _ranks}, set()),
+    ("bound", "relative"): ({"--rank": _ranks, "--alpha": _angles}, {"--rank", "--alpha"}),
+    ("bound", "nosuch"): ({}, set()),
+    **{("construct", what): ({"--q": _sizes, "--k": _sizes, "--alpha": _angles,
+                              "--ell": _sizes, "--out": _outs}, needed)
+       for what, needed in [("witt276", set()), ("octads", set()), ("paley", set()),
+                            ("simplex", {"--k", "--alpha"}), ("block52", {"--ell"}),
+                            ("nosuch", set())]},
+    ("verify", "{tmp}"): ({}, set()),
+    ("verify", "{tmp}/missing.json"): ({}, set()),
+    ("verify", "{tmp}/good.json"): ({}, set()),
+    ("verify", "{tmp}/bad.json"): ({}, set()),
+    ("saturate",): ({"--rank": _ranks, "--alpha": _angles, "--all-seeds": None,
+                     "--out": _outs}, {"--rank", "--alpha"}),
+    ("mstar",): ({"--rank": _ranks, "--out": _outs}, {"--rank"}),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """Argument vectors of the commands that take numbers, with ranks and
+    sizes small enough that every search, matrix and table stays small.
+    Needed options are left out, and stray tokens added, now and then."""
+    words = draw(st.sampled_from(sorted(_COMMANDS)))
+    options, needed = _COMMANDS[words]
+    argv = ["--jobs", "1", *words]
+    for flag in draw(st.permutations(sorted(options))):
+        if flag in needed and draw(st.integers(0, 7)) or draw(st.booleans()):
+            value = options[flag]
+            argv += [flag] if value is None else [flag, draw(value)]
+    if draw(st.integers(0, 7)) == 0:
+        argv.append(draw(st.sampled_from(["--rank", "3", "-1", "--bogus"])))
+    return argv
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=_argvs())
+def test_any_argv_exits_0_1_or_2_without_a_traceback(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.delenv("EQUIANGULAR_CACHE_DIR", raising=False)
+    (tmp_path / "good.json").write_text(json.dumps({"alpha": "1/3", "seidel": [[0, 1], [1, 0]]}))
+    (tmp_path / "bad.json").write_text('{"alpha": "1/3", "seidel": [[0, 2]]')
+    code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

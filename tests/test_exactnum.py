@@ -145,6 +145,10 @@ def test_serialization_round_trip():
     a17 = parse_scalar("1/sqrt(17)")
     assert a17 * a17 == Fraction(1, 17)
     assert parse_scalar(format_scalar(a17)) == a17
+    assert parse_scalar("1/sqrt(12)") == QuadExt(0, Fraction(1, 6), 3)
+    # a perfect-square radicand gives a rational angle
+    assert parse_scalar("1/sqrt(9)") == Fraction(1, 3)
+    assert parse_scalar("1/sqrt(1)") == 1
 
 
 def test_scalar_floor():
