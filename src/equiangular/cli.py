@@ -13,11 +13,13 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
+from itertools import zip_longest
 
 from equiangular import bounds, constructions, linalg, saturate
-from equiangular.exactnum import Scalar, format_scalar, parse_scalar
+from equiangular.exactnum import Scalar, format_scalar, parse_scalar, quad_sign
 from equiangular.linalg import SymMatrix
-from equiangular.seidel import EquiangularSet, base_size
+from equiangular.seidel import EquiangularSet, SeidelMatrix, base_size, graph_from_graph6
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,21 +68,32 @@ def _cache_key(rank: int, alpha: Scalar) -> str:
     return f"m_alpha_v{CACHE_SCHEMA}_r{rank}_{canonical}.json"
 
 
-def _load_cached(path: str, inputs: dict):
-    """The cached report at path, or None if the file is missing, unreadable,
-    malformed, or holds the result of another search."""
+def _recertify(report: bounds.BoundReport, rank: int, alpha: Scalar) -> None:
+    """Check a cached m_alpha report: it must hold the result of this search,
+    and its first maximizing seed, rebuilt from its graph6 and saturated
+    again, must give the same total, candidate count, clique size and
+    witness.  Raises CertificateError (or ValueError) otherwise."""
+    if report.name != "m_alpha" or report.inputs != {"rank": rank, "alpha": format_scalar(alpha)}:
+        raise saturate.CertificateError("the cached report is of another search")
+    seeds = report.certificate.get("maximizing_seeds") if isinstance(report.certificate, dict) else None
+    entry = seeds[0] if isinstance(seeds, list) and seeds and isinstance(seeds[0], dict) else {}
+    if type(report.value) is not int or not isinstance(entry.get("graph6"), str):
+        raise saturate.CertificateError("the cached report names no maximizing seed")
+    graph = graph_from_graph6(entry["graph6"])
+    rep = saturate.saturation_report(saturate.seed_for_graph(rank, alpha, graph))
+    got = [rep.total, rep.candidate_count, rep.clique_size, list(rep.clique_witness)]
+    if got != [report.value, entry.get("candidates"), entry.get("clique"), entry.get("witness")]:
+        raise saturate.CertificateError("the cached result does not re-certify")
+
+
+def _load_cached(path: str, rank: int, alpha: Scalar):
+    """The cached report at path, or None if the file is missing, unreadable
+    or malformed, or does not re-certify."""
     try:
         with open(path) as fh:
-            cached = json.load(fh)
-        report = bounds.BoundReport(**cached)
-    except (OSError, ValueError, TypeError):
-        return None
-    if (
-        report.name != "m_alpha"
-        or report.inputs != inputs
-        or type(report.value) is not int
-        or not isinstance(report.certificate, dict)
-    ):
+            report = bounds.BoundReport(**json.load(fh))
+        _recertify(report, rank, alpha)
+    except (OSError, ValueError, TypeError, saturate.CertificateError):
         return None
     return report
 
@@ -94,7 +107,7 @@ def _cached_m_alpha(rank: int, alpha_str: str, jobs: int):
     cache_dir = os.environ.get("EQUIANGULAR_CACHE_DIR")
     if cache_dir:
         path = os.path.join(cache_dir, _cache_key(rank, alpha))
-        report = _load_cached(path, {"rank": rank, "alpha": format_scalar(alpha)})
+        report = _load_cached(path, rank, alpha)
         if report is not None:
             return report
     report = saturate.m_alpha(rank, alpha, jobs=jobs, count_scanned=rank - 1 <= 7)
@@ -110,6 +123,7 @@ def _cached_m_alpha(rank: int, alpha_str: str, jobs: int):
 def _cmd_bound(args) -> int:
     sub = args.bound_cmd
     if sub == "coexistence":
+        _at_most("--n", args.n, MAX_COEXISTENCE_N)
         if args.ell:
             ell = tuple(int(x) for x in args.ell.split(","))
             inst = bounds.coexistence_check(args.n, ell)
@@ -193,20 +207,21 @@ def _cmd_construct(args) -> int:
         _emit(args, text)
         return EXIT_OK
     if what == "paley":
-        c = constructions.paley_conference(args.q)
+        c = constructions.paley_conference(_at_most("--q", args.q, MAX_PALEY_Q))
         e = constructions.conference_etf(c)
         _emit(args, e.to_json())
         return EXIT_OK
     if what == "simplex":
         if args.k is None or args.alpha is None:
             raise ValueError("construct simplex needs --k and --alpha")
-        e = constructions.simplex_base(args.k, parse_scalar(args.alpha))
+        k = _at_most("--k", args.k, MAX_SIMPLEX_K)
+        e = constructions.simplex_base(k, parse_scalar(args.alpha))
         _emit(args, e.to_json())
         return EXIT_OK
     if what == "block52":
         if args.ell is None:
             raise ValueError("construct block52 needs --ell")
-        e = constructions.block_52_equiangular(args.ell)
+        e = constructions.block_52_equiangular(_at_most("--ell", args.ell, MAX_BLOCK52_ELL))
         _emit(args, e.to_json())
         return EXIT_OK
     raise AssertionError(what)
@@ -239,7 +254,7 @@ def _cmd_verify(args) -> int:
                                      "reason": "not a Seidel matrix entry"})
         if not problems:
             try:
-                e = EquiangularSet(alpha, _seidel_from_lists(rows))
+                e = EquiangularSet(alpha, SeidelMatrix(tuple(map(tuple, rows))))
             except ValueError as exc:
                 print(json.dumps({"ok": False, "reason": str(exc)}))
                 return EXIT_VIOLATION
@@ -268,8 +283,6 @@ def _cmd_verify(args) -> int:
                                  "reason": "diagonal must be 1"})
         if alpha is None:
             # infer the angle as the majority off-diagonal magnitude
-            from collections import Counter
-
             offs = Counter(
                 abs_scalar(m.entry(i, j))
                 for i in range(m.n)
@@ -307,15 +320,7 @@ def _cmd_verify(args) -> int:
 
 
 def abs_scalar(x):
-    from equiangular.exactnum import quad_sign
-
     return -x if quad_sign(x) < 0 else x
-
-
-def _seidel_from_lists(rows):
-    from equiangular.seidel import SeidelMatrix
-
-    return SeidelMatrix(tuple(tuple(r) for r in rows))
 
 
 # -- saturation -------------------------------------------------------------------
@@ -405,21 +410,27 @@ def _cmd_reproduce(args) -> int:
 
 
 def _diff_lines(expected: str, got: str) -> list:
-    out = []
-    exp_lines = expected.splitlines()
-    got_lines = got.splitlines()
-    for i in range(max(len(exp_lines), len(got_lines))):
-        e = exp_lines[i] if i < len(exp_lines) else None
-        g = got_lines[i] if i < len(got_lines) else None
-        if e != g:
-            out.append({"line": i + 1, "expected": e, "computed": g})
-    return out
+    pairs = zip_longest(expected.splitlines(), got.splitlines())
+    return [{"line": i, "expected": e, "computed": g}
+            for i, (e, g) in enumerate(pairs, 1) if e != g]
 
 
 # -- parser -------------------------------------------------------------------------
 
 
 MAX_JOBS = 64
+# caps on the size-like options; each keeps one command within about 1.5 s
+MAX_COEXISTENCE_N = 200
+MAX_PALEY_Q = 101
+MAX_BLOCK52_ELL = 50
+MAX_SIMPLEX_K = 100
+
+
+def _at_most(option: str, value, cap: int):
+    """value, unless it exceeds cap (a usage error)."""
+    if value is not None and value > cap:
+        raise ValueError(f"{option} must be at most {cap}, got {value}")
+    return value
 
 
 def _jobs(text: str) -> int:

@@ -22,13 +22,15 @@ a sign vector eps, the three recurring tests are exact ring comparisons:
     unit candidate line:          eps^T adj eps == corner*det / bscale^2
     compatible candidate pair:    adj eps_i . eps_j == +-det / bscale
 
-Sign-vector scans walk eps in Gray-code order.  The walk is linear, so it
-runs on the integer coordinates of the ring: one integer matrix over Z, two
-over Z[sqrt d], and the last two tests compare those coordinates with targets
-computed once per class (none if the quotient is not in the ring).  Each walk
-keeps adj@eps packed into one Python int of fixed-width biased fields, so a
-sign flip is one big-int addition plus one field read for eps^T adj eps, and
-adj@eps is unpacked only for the sign vectors kept.
+The first two tests run on all 2^(n-1) sign vectors of an n x n adjugate at
+once (_SignScan), on the integer coordinates of the ring: one integer matrix
+over Z, two over Z[sqrt d].  eps^T m eps is an affine function of the pairwise
+sign differences, so it is n(n-1)/2 big-int multiply-adds of fixed 0/1
+patterns into one int of fixed-width fields, one field per sign vector in
+Gray order.  Equality with a target (per coordinate) and, over Z, the PD
+bound are guard-bit tests on that int; the exact Z[sqrt d] PD sign is tested
+per sign vector on the unpacked fields.  adj@eps is computed only for the
+candidate lines and for the children that start a new class.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import islice
+from itertools import compress, islice
 from math import lcm
-from operator import lshift, mul
+from operator import mul
 from typing import Sequence
 
 from equiangular import bounds
@@ -63,10 +65,16 @@ from equiangular.seidel import (
     SwitchingOp,
     _clique_number,
     gram_matrix,
+    graph_from_graph6,
     graph_to_graph6,
     max_clique,
     switching_normalize,
 )
+
+
+class CertificateError(AssertionError):
+    """A re-check of a computed result failed: the search and its
+    certificate disagree.  Raised by explicit checks, so also under -O."""
 
 
 @dataclass(frozen=True)
@@ -128,18 +136,8 @@ class BasisSeed:
         return gram_matrix(self.alpha, self.seidel())
 
     def seidel(self) -> SeidelMatrix:
-        rows = []
-        for i in range(self.r):
-            row = []
-            for j in range(self.r):
-                if i == j:
-                    row.append(0)
-                elif 0 in (i, j):
-                    row.append(1)
-                else:
-                    row.append(-1 if self.graph.has_edge(i - 1, j - 1) else 1)
-            rows.append(row)
-        return SeidelMatrix(tuple(tuple(r) for r in rows))
+        # the root is vertex 0, with no edge (+1 with every other vertex)
+        return SeidelMatrix.from_graph(Graph(self.r, (0,) + tuple(m << 1 for m in self.graph.adj)))
 
 
 @dataclass(frozen=True)
@@ -190,15 +188,14 @@ def _root_record(mode: _Mode) -> dict:
     return {"masks": [], "det": mode.corner, "adj": [[ring_element((1, 0), mode.d)]]}
 
 
-def _extend_record(mode: _Mode, rec: dict, nb: int, quad, u: list) -> dict:
-    """Record of the class grown by a vertex with neighbor mask nb; quad and u
-    are eps^T adj eps and adj @ eps in integer coordinates."""
+def _extend_record(mode: _Mode, rec: dict, nb: int) -> dict:
+    """Record of the class grown by a vertex with neighbor mask nb."""
     k = len(rec["masks"])
     n = k + 1
     masks = [m | ((nb >> i & 1) << k) for i, m in enumerate(rec["masks"])]
     masks.append(nb)
-    det = rec["det"]
-    adj = rec["adj"]
+    det, adj = rec["det"], rec["adj"]
+    quad, u = _quad_u(mode, rec, nb)
     det_new = mode.corner * det - mode.bscale_sq * ring_element(quad, mode.d)
     su = [mode.bscale * x for x in from_components(u, mode.d)]
     new_adj = [[None] * n + [-x] for x in su]
@@ -211,117 +208,126 @@ def _extend_record(mode: _Mode, rec: dict, nb: int, quad, u: list) -> dict:
 
 
 def _adj_components(adj: list, d: int) -> list[list[list[int]]]:
-    """The integer coordinate matrices of a ring matrix, one per coordinate."""
+    """The two integer coordinate matrices of a matrix over Z[sqrt d]."""
     return [list(rows) for rows in zip(*(components(row, d) for row in adj))]
 
 
 @cache
-def _gray_flips(n: int) -> tuple:
-    """The steps of the Gray-code walk over the sign vectors of length n with
-    b[0] = +1, as (mask after the step, flipped position i >= 1, whether b[i]
-    became -1); they depend on n alone, so they are built once per length."""
-    out = []
-    for g in range(1, 1 << (n - 1)):
-        i = (g & -g).bit_length()
-        nb = g ^ (g >> 1)
-        out.append((nb, i, bool(nb >> (i - 1) & 1)))
-    return tuple(out)
+def _gray_masks(n: int) -> tuple[int, ...]:
+    """The masks of the sign vectors b of length n with b[0] = +1 in Gray
+    order; bit i-1 of a mask is set when b[i] = -1."""
+    return tuple(g ^ (g >> 1) for g in range(1 << (n - 1)))
 
 
-def _gray_walk(m: list[list[int]], lo: int | None = None, hi: int | None = None) -> list[tuple]:
-    """Gray-code walk over the sign vectors b of length n with b[0] = +1 for
-    one integer symmetric matrix m.  Returns (mask, [quad], [u]) with
-    u = m b and quad = b^T m b for every b with lo <= quad < hi (None for no
-    limit), in Gray order; bit i-1 of mask is set when b[i] = -1.
+@cache
+def _patterns(n: int, step: int) -> tuple[int, int, list[int]]:
+    """(ones, guards, [P_ij for i < j]) over the sign vectors of length n in
+    Gray order, packed one field of step bytes per sign vector: each field of
+    ones holds 1, each field of guards its top bit, and field g of P_ij holds
+    1 where b[i] != b[j] in the g-th sign vector."""
+    fields = 1 << (n - 1)
 
-    u is kept packed in one int: coordinate t is the field of ``width`` bits
-    at t*width holding u[t] + reach, where reach (the sum of |m|) bounds
-    |u[t]| and |quad|, so every field stays in [0, 2*reach].  Flipping b[i]
-    adds or subtracts 2*m[i] packed the same way, one big-int operation, and
-    reads the field of u[i] for quad; u is unpacked only for kept b."""
-    n = len(m)
-    reach = sum([sum(map(abs, row)) for row in m])
-    lo = -reach if lo is None else lo
-    hi = reach + 1 if hi is None else hi
-    width = (2 * reach).bit_length() or 1
-    field = (1 << width) - 1
-    shifts = [t * width for t in range(n)]
-    bias = sum(reach << s for s in shifts)
-    step = [2 * sum(map(lshift, row, shifts)) for row in m]
-    diag = [4 * m[i][i] for i in range(n)]
-    u = [sum(row) for row in m]  # m @ all-ones
-    quad = sum(u)
-    packed = bias + sum(map(lshift, u, shifts))
-    out = []
-    if lo <= quad < hi:
-        out.append((0, [quad], [u]))
-    for nb, i, down in _gray_flips(n):
-        ui = (packed >> shifts[i] & field) - reach
-        if down:  # b[i] went from +1 to -1
-            quad += diag[i] - 4 * ui
-            packed -= step[i]
-        else:
-            quad += diag[i] + 4 * ui
-            packed += step[i]
-        if lo <= quad < hi:
-            out.append((nb, [quad], [[(packed >> s & field) - reach for s in shifts]]))
-    return out
+    def packed(values) -> int:
+        buf = bytearray(step * fields)
+        buf[::step] = bytes(values)
+        return int.from_bytes(buf, "little")
+
+    cols = [0] + [packed(nb >> (i - 1) & 1 for nb in _gray_masks(n)) for i in range(1, n)]
+    ones = packed([1] * fields)
+    pairs = [cols[i] ^ cols[j] for i in range(n) for j in range(i + 1, n)]
+    return ones, ones << (8 * step - 1), pairs
 
 
-def _ring_walk(adj: list, d: int, bounds=None) -> list[tuple]:
-    """The Gray-code walk over a ring matrix: the walk is linear, so it runs
-    once per integer coordinate (one walk over Z, two over Z[sqrt d]).
-    Returns (mask, quad, u) in integer coordinates for the sign vectors whose
-    quad lies in bounds, one (lo, hi) per coordinate with None for no limit;
-    without bounds, for every sign vector."""
-    walks = []
-    for c, m in enumerate(_adj_components(adj, d)):
-        walk = _gray_walk(m, *(bounds[c] if bounds else (None, None)))
-        if not walk:
-            return []  # no sign vector passes this coordinate
-        walks.append(walk)
-    first, *rest = walks
-    if not rest:
-        return first
-    rest = [{nb: (q, u) for nb, q, u in walk} for walk in rest]
-    out = []
-    for nb, quad, vec in first:
-        for walk in rest:
-            hit = walk.get(nb)
-            if hit is None:
-                break
-            quad += hit[0]
-            vec += hit[1]
-        else:
-            out.append((nb, quad, vec))
-    return out
+class _SignScan:
+    """b^T m b for all 2^(n-1) sign vectors b (b[0] = +1) of the integer
+    coordinate matrices m of a ring matrix (one over Z, two over Z[sqrt d]).
+
+    With D_ij = 1 where b[i] != b[j], b^T m b = q1 - 4*S(b), where q1 sums
+    all entries of m and S sums m_ij * D_ij over i < j.  One int per matrix,
+    neg*ones + the sum of m_ij * P_ij (n(n-1)/2 big-int multiply-adds, see
+    _patterns), holds S + neg in field g for the g-th sign vector in Gray
+    order; neg is minus the sum of the negative m_ij, so a field lies in
+    [0, reach], reach = sum of |m_ij| over i < j.  A field is
+    reach.bit_length() + 1 bits rounded up to bytes, so no value reaches its
+    top (guard) bit; each test returns the guards of the vectors that pass."""
+
+    def __init__(self, adj: list, d: int):
+        self.ms = ms = _adj_components(adj, d) if d else [adj]
+        self.n = n = len(adj)
+        upper = [[row[j] for i, row in enumerate(m) for j in range(i + 1, n)] for m in ms]
+        self.reach = max(sum(map(abs, xs)) for xs in upper)
+        self.step = self.reach.bit_length() // 8 + 1
+        self.ones, self.guards, pairs = _patterns(n, self.step)
+        self.sums = []  # (packed fields, q1, neg) per matrix
+        for m, xs in zip(ms, upper):
+            neg = -sum([x for x in xs if x < 0])
+            self.sums.append((sum(map(mul, xs, pairs), neg * self.ones), sum(map(sum, m)), neg))
+
+    def equal(self, targets) -> int:
+        """Guards of the sign vectors with b^T m b == t for every matrix m and
+        its target t: a zero-field test of the fields XOR (S + neg of t)."""
+        ones, guards = self.ones, self.guards
+        hits = guards
+        for (v, q1, neg), t in zip(self.sums, targets):
+            k, rem = divmod(q1 - t, 4)
+            k += neg
+            if rem or not 0 <= k <= self.reach:
+                return 0
+            hits &= ~(((v ^ k * ones) | guards) - ones)  # a borrow clears a zero field's guard
+        return hits
+
+    def below(self, hi: int) -> int:
+        """Guards of the sign vectors with b^T m b < hi (one matrix): that is
+        S > (q1 - hi) / 4, so a field passes when it is at least low."""
+        ((v, q1, neg),) = self.sums
+        low = min(max((q1 - hi) // 4 + 1 + neg, 0), self.reach + 1)
+        return ((v | self.guards) - low * self.ones) & self.guards
+
+    def masks(self, hits: int) -> list[int]:
+        """The masks of the sign vectors whose guard is set in hits, in Gray order."""
+        step = self.step
+        guard_bytes = hits.to_bytes(step << (self.n - 1), "little")[step - 1::step]
+        return list(compress(_gray_masks(self.n), guard_bytes))
+
+    def quads(self) -> list[list[int]]:
+        """b^T m b for every sign vector in Gray order, one list per matrix."""
+        step = self.step
+        size = step << (self.n - 1)
+        out = []
+        for v, q1, neg in self.sums:
+            raw, base = v.to_bytes(size, "little"), q1 + 4 * neg
+            out.append(
+                [base - 4 * int.from_bytes(raw[i:i + step], "little") for i in range(0, size, step)]
+            )
+        return out
 
 
 def _sign_vector(mask: int, n: int) -> tuple[int, ...]:
     return (1,) + tuple(-1 if mask >> i & 1 else 1 for i in range(n - 1))
 
 
-def _pd_neighbor_masks(mode: _Mode, rec: dict) -> list[tuple]:
-    """(mask, quad, u) for every one-vertex extension keeping the Gram PD,
-    i.e. with corner*det - bscale^2 * quad > 0."""
+def _pd_neighbor_masks(mode: _Mode, rec: dict) -> list[int]:
+    """The neighbor masks of every one-vertex extension keeping the Gram PD,
+    i.e. with corner*det - bscale^2 * quad > 0, in Gray order."""
     thresh = mode.corner * rec["det"]
     bsq, d = mode.bscale_sq, mode.d
+    scan = _SignScan(rec["adj"], d)
     if not d:  # over Z the test is the bound quad < thresh / bsq (bsq > 0)
-        return _ring_walk(rec["adj"], d, [(None, -(-thresh // bsq))])
+        return scan.masks(scan.below(-(-thresh // bsq)))
     # over Z[sqrt d] the sign test needs both coordinates of quad
     return [
-        hit
-        for hit in _ring_walk(rec["adj"], d)
-        if quad_sign(thresh - bsq * ring_element(hit[1], d)) > 0
+        nb
+        for nb, *quad in zip(_gray_masks(scan.n), *scan.quads())
+        if quad_sign(thresh - bsq * ring_element(quad, d)) > 0
     ]
 
 
 def _pd_children(mode: _Mode, level: list[dict]):
     """Every PD one-vertex extension of the level's records, as attach_vertex
-    input (parent graph, neighbor mask, (record, mask, quad, u))."""
+    input (parent graph, neighbor mask, (record, mask))."""
     for rec in level:
-        for nb, quad, u in _pd_neighbor_masks(mode, rec):
-            yield rec["masks"], nb, (rec, nb, quad, u)
+        for nb in _pd_neighbor_masks(mode, rec):
+            yield rec["masks"], nb, (rec, nb)
 
 
 def _pd_ladder(mode: _Mode, graph_size: int) -> list[dict]:
@@ -336,21 +342,29 @@ def _pd_ladder(mode: _Mode, graph_size: int) -> list[dict]:
 
 
 def _quad_u(mode: _Mode, rec: dict, nb: int):
-    """(quad, u) for attaching a vertex with neighbor mask nb, computed
-    directly (used to rebuild single records without a full walk)."""
-    b = _sign_vector(nb, len(rec["adj"]))
-    us = [[sum(map(mul, row, b)) for row in m] for m in _adj_components(rec["adj"], mode.d)]
+    """(quad, u) = (b^T adj b, adj @ b) in integer coordinates for the sign
+    vector b of neighbor mask nb, computed directly."""
+    adj = rec["adj"]
+    b = _sign_vector(nb, len(adj))
+    ms = _adj_components(adj, mode.d) if mode.d else [adj]
+    us = [[sum(map(mul, row, b)) for row in m] for m in ms]
     return [sum(map(mul, u, b)) for u in us], us
 
 
-def _record_for_masks(mode: _Mode, masks: Sequence[int]) -> dict:
-    """Rebuild the (det, adjugate) record of a known-PD graph class."""
+def seed_for_graph(r: int, alpha: Scalar, graph: Graph) -> BasisSeed:
+    """The basis seed of a non-root graph on r-1 vertices, its det and
+    adjugate rebuilt one vertex at a time.  The dets are the leading
+    principal minors of the scaled Gram, so CertificateError is raised
+    unless every one is positive (the Gram is PD)."""
+    if graph.n != r - 1:
+        raise ValueError(f"a rank-{r} seed needs a graph on {r - 1} vertices, got {graph.n}")
+    mode = _alpha_mode(alpha)
     rec = _root_record(mode)
-    for k, row in enumerate(masks):
-        nb = row & ((1 << k) - 1)
-        quad, u = _quad_u(mode, rec, nb)
-        rec = _extend_record(mode, rec, nb, quad, u)
-    return rec
+    for k, row in enumerate(graph.adj):
+        rec = _extend_record(mode, rec, row & ((1 << k) - 1))
+        if quad_sign(rec["det"]) <= 0:
+            raise CertificateError("the basis Gram is not positive definite")
+    return BasisSeed(r, alpha, graph, mode, rec["det"], rec["adj"])
 
 
 def enumerate_pd_bases(
@@ -364,17 +378,9 @@ def enumerate_pd_bases(
     if count_scanned is None:
         count_scanned = r - 1 <= 7
     mode = _alpha_mode(alpha)
-    records = _pd_ladder(mode, r - 1)
     seeds = [
-        BasisSeed(
-            r=r,
-            alpha=alpha,
-            graph=Graph(r - 1, tuple(rec["masks"])),
-            mode=mode,
-            det=rec["det"],
-            adjugate=rec["adj"],
-        )
-        for rec in records
+        BasisSeed(r, alpha, Graph(r - 1, tuple(rec["masks"])), mode, rec["det"], rec["adj"])
+        for rec in _pd_ladder(mode, r - 1)
     ]
     scanned = count_graph_classes(r - 1) if count_scanned else None
     return EnumerationResult(r, alpha, seeds, scanned, pruned=not count_scanned)
@@ -385,12 +391,14 @@ def enumerate_pd_bases(
 
 def _candidate_data_raw(mode: _Mode, det, adj, r: int):
     """(eps, u = adjugate @ eps in integer coordinates) for every unit
-    candidate line, walking the 2^(r-1) sign vectors (root sign fixed +1)."""
+    candidate line, testing the 2^(r-1) sign vectors (root sign fixed +1) at
+    once; u is computed for the candidates only."""
     target = _exact_quotient(mode.corner * det, mode.bscale_sq)
     if target is None:
         return []
-    bounds = [(t, t + 1) for t in ring_parts(target, mode.d)]
-    return [(_sign_vector(nb, r), u) for nb, _, u in _ring_walk(adj, mode.d, bounds)]
+    scan = _SignScan(adj, mode.d)
+    signs = [_sign_vector(nb, r) for nb in scan.masks(scan.equal(ring_parts(target, mode.d)))]
+    return [(eps, [[sum(map(mul, row, eps)) for row in m] for m in scan.ms]) for eps in signs]
 
 
 def candidates(seed: BasisSeed) -> CandidateSet:
@@ -448,12 +456,8 @@ def realize(seed: BasisSeed, cands: CandidateSet, chosen: Sequence[int]) -> Equi
     """Equiangular set made of the basis plus the chosen candidate lines,
     rebuilt from scratch and re-certified (PSD, rank = r, entries +-alpha)."""
     r = seed.r
-    base = seed.seidel().rows
     n = r + len(chosen)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(r):
-        for j in range(r):
-            rows[i][j] = base[i][j]
+    rows = [list(row) + [0] * (n - r) for row in seed.seidel().rows] + [[0] * n for _ in chosen]
     lines = cands.lines
     for a, ci in enumerate(chosen):
         eps = lines[ci].sign_vector
@@ -464,7 +468,7 @@ def realize(seed: BasisSeed, cands: CandidateSet, chosen: Sequence[int]) -> Equi
             rows[r + a][r + b] = rows[r + b][r + a] = s
     e = EquiangularSet(seed.alpha, SeidelMatrix(tuple(tuple(x) for x in rows)))
     if e.rank != r:
-        raise AssertionError("realized set must have rank exactly r")
+        raise CertificateError("realized set must have rank exactly r")
     return e
 
 
@@ -559,18 +563,10 @@ def m_alpha(
         raise ValueError("no positive definite basis exists for this rank and angle")
     reports = []
     for masks in maximizers:
-        rec = _record_for_masks(mode, masks)
-        seed = BasisSeed(
-            r=r,
-            alpha=alpha,
-            graph=Graph(r - 1, masks),
-            mode=mode,
-            det=rec["det"],
-            adjugate=rec["adj"],
-        )
-        rep = saturation_report(seed)
-        if rep.total != best or rep.realized is None or rep.realized.rank != r:
-            raise AssertionError("maximizing seed failed re-certification")
+        rep = saturation_report(seed_for_graph(r, alpha, Graph(r - 1, masks)))
+        e = rep.realized
+        if rep.total != best or e is None or e.n != best or e.rank != r:
+            raise CertificateError("maximizing seed failed re-certification")
         reports.append(rep)
     scanned = count_graph_classes(r - 1) if count_scanned else None
     return BoundReport(
@@ -602,7 +598,7 @@ def _assert_saturated(rep: SaturationReport, graph: Graph) -> None:
         if v in chosen:
             continue
         if all(graph.has_edge(v, w) for w in chosen):
-            raise AssertionError("clique witness is not maximal")
+            raise CertificateError("clique witness is not maximal")
 
 
 # -- maximum size at prescribed rank ------------------------------------------
@@ -724,7 +720,7 @@ def _solve_signs(
     flips = frozenset(i for i in range(n) if signs[i] == -1)
     op = SwitchingOp(flips, perm)
     if op.apply(a1) != a2:
-        raise AssertionError("switching witness does not map a1 to a2")
+        raise CertificateError("switching witness does not map a1 to a2")
     return op
 
 
@@ -735,13 +731,10 @@ def uniqueness_check_8_third() -> dict:
     winners = rep.certificate["maximizing_seeds"]
     if len(winners) != 2 or rep.value != 14:
         raise AssertionError("expected exactly two 14-line maxima")
-    enum = enumerate_pd_bases(8, Fraction(1, 3))
-    by_g6 = {s.nonroot_graph6: s for s in enum.seeds}
     systems = []
     for w in winners:
-        seed = by_g6[w["graph6"]]
-        cs = candidates(seed)
-        systems.append(realize(seed, cs, tuple(w["witness"])))
+        seed = seed_for_graph(8, Fraction(1, 3), graph_from_graph6(w["graph6"]))
+        systems.append(realize(seed, candidates(seed), tuple(w["witness"])))
     op = switching_isomorphism(systems[0], systems[1])
     return {
         "equivalent": op is not None,

@@ -152,14 +152,16 @@ def graph_to_graph6(g: Graph) -> str:
 
 def graph_from_graph6(text: str) -> Graph:
     data = [ord(c) - 63 for c in text.strip()]
-    if any(v < 0 or v > 63 for v in data):
+    if not data or any(v < 0 or v > 63 for v in data):
         raise ValueError("invalid graph6 characters")
-    if data[0] == 63:
+    if data[0] == 63 and len(data) >= 4:
         n = (data[1] << 12) | (data[2] << 6) | data[3]
         data = data[4:]
     else:
         n = data[0]
         data = data[1:]
+    if 6 * len(data) < n * (n - 1) // 2:
+        raise ValueError("truncated graph6")
     bitstream = []
     for v in data:
         for k in range(5, -1, -1):
@@ -307,15 +309,9 @@ class SeidelMatrix:
     @classmethod
     def from_graph(cls, g: Graph) -> "SeidelMatrix":
         # A = J - I - 2 Adj: edges carry -1
-        rows = []
-        for i in range(g.n):
-            rows.append(
-                tuple(
-                    0 if i == j else (-1 if g.has_edge(i, j) else 1)
-                    for j in range(g.n)
-                )
-            )
-        return cls(tuple(rows))
+        span = range(g.n)
+        return cls(tuple(tuple(0 if i == j else -1 if g.has_edge(i, j) else 1 for j in span)
+                         for i in span))
 
     def graph(self) -> Graph:
         n = self.n

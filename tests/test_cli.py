@@ -224,10 +224,16 @@ def test_saturate_cache_env(tmp_path, capsys, monkeypatch):
     (["bound", "table2", "--t1111", "100000"], None, "t1111"),
     (["construct", "block52"], None, "--ell"),
     (["verify", "{tmp}"], None, "Is a directory"),
+    (["bound", "coexistence", "--n", "201"], None, "--n must be at most 200"),
+    (["construct", "paley", "--q", "103"], None, "--q must be at most 101"),
+    (["construct", "block52", "--ell", "51"], None, "--ell must be at most 50"),
+    (["construct", "simplex", "--k", "101", "--alpha", "1/3"], None, "--k must be at most 100"),
 ], ids=["verify-without-alpha", "verify-ragged-rows", "simplex-without-alpha",
         "saturate-angle-out-of-range", "verify-numeric-alpha", "verify-gram-not-a-matrix",
         "verify-not-an-object", "verify-zero-denominator", "table2-negative-t1111",
-        "table2-t1111-above-its-cap", "block52-without-ell", "verify-a-directory"])
+        "table2-t1111-above-its-cap", "block52-without-ell", "verify-a-directory",
+        "coexistence-n-above-its-cap", "paley-q-above-its-cap", "block52-ell-above-its-cap",
+        "simplex-k-above-its-cap"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv, payload, message):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if payload is not None:
@@ -263,18 +269,41 @@ def test_cache_key_is_the_canonical_angle(tmp_path, capsys, monkeypatch, rank, s
     assert list(tmp_path.iterdir()) == [cached]
 
 
+def _value_off_by_one(report):
+    return {**report, "value": report["value"] + 1}
+
+
+def _first_seed_changed(**changes):
+    def change(report):
+        seed, *rest = report["certificate"]["maximizing_seeds"]
+        seed = {**seed, **{k: f(seed[k]) for k, f in changes.items()}}
+        certificate = {**report["certificate"], "maximizing_seeds": [seed, *rest]}
+        return {**report, "certificate": certificate}
+
+    return change
+
+
 @pytest.mark.parametrize("content", [
     "", "{", "[]", "null", '{"name": "m_alpha"}',
     json.dumps({"name": "m_alpha", "value": 99, "inputs": {"rank": 8, "alpha": "1/5"},
                 "certificate": {}, "notes": []}),
     json.dumps({"name": "m_alpha", "value": "14", "inputs": {"rank": 8, "alpha": "1/3"},
                 "certificate": {}, "notes": []}),
+    _value_off_by_one,
+    _first_seed_changed(witness=lambda w: [*w[:-1], w[-1] + 1]),
+    _first_seed_changed(graph6=lambda g: "F~~~w"),  # K7: the Gram is not PD
+    _first_seed_changed(graph6=lambda g: g[:2]),
 ], ids=["empty", "truncated", "list", "null", "missing-fields", "foreign-inputs",
-        "value-not-int"])
+        "value-not-int", "value-off-by-one", "witness-changed", "seed-not-positive-definite",
+        "graph6-truncated"])
 def test_unusable_cache_file_is_recomputed(tmp_path, capsys, monkeypatch, content):
+    """A cache file is used only if it re-certifies; otherwise the search
+    runs again and the file is overwritten."""
     monkeypatch.setenv("EQUIANGULAR_CACHE_DIR", str(tmp_path))
     code, fresh = run_cli(capsys, "saturate", "--rank", "8", "--alpha", "1/3")
     (cached,) = tmp_path.iterdir()
+    if callable(content):
+        content = json.dumps(content(json.loads(cached.read_text())))
     cached.write_text(content)
     code = main(["saturate", "--rank", "8", "--alpha", "1/3"])
     captured = capsys.readouterr()

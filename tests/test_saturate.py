@@ -10,13 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiangular.exactnum import QuadExt, parse_scalar, quad_sign
+from equiangular.exactnum import QuadExt, ZSqrt, parse_scalar, quad_sign
 from equiangular.graphenum import count_graph_classes
 from equiangular.linalg import psd_check
 from equiangular.saturate import (
+    CertificateError,
+    _SignScan,
     _alpha_mode,
-    _gray_walk,
+    _candidate_data_raw,
     _pd_ladder,
+    _pd_neighbor_masks,
+    _sign_vector,
     candidates,
     compatibility_graph,
     enumerate_pd_bases,
@@ -259,8 +263,8 @@ def _direct_walk(m, lo, hi):
 
 
 @st.composite
-def _symmetric_int_matrices(draw):
-    n = draw(st.integers(1, 10))
+def _symmetric_int_matrices(draw, n=None):
+    n = draw(st.integers(1, 10)) if n is None else n
     bound = draw(st.sampled_from([1, 5, 1000, 10**15]))
     m = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -269,15 +273,103 @@ def _symmetric_int_matrices(draw):
     return m
 
 
+@st.composite
+def _symmetric_int_matrix_pairs(draw):
+    n = draw(st.integers(1, 10))
+    return draw(_symmetric_int_matrices(n)), draw(_symmetric_int_matrices(n))
+
+
+def _masks(walk):
+    return [mask for mask, _, _ in walk]
+
+
+def _check_scan_windows(m, targets):
+    """Equality and upper-bound tests of the packed scan of m against the
+    direct products, for every target, in Gray order."""
+    scan = _SignScan(m, 0)
+    assert scan.quads() == [[quad[0] for _, quad, _ in _direct_walk(m, None, None)]]
+    for t in targets:
+        assert scan.masks(scan.equal([t])) == _masks(_direct_walk(m, t, t + 1))
+        assert scan.masks(scan.below(t)) == _masks(_direct_walk(m, None, t))
+
+
 @settings(max_examples=120, deadline=None)
 @given(m=_symmetric_int_matrices(), data=st.data())
-def test_gray_walk_matches_direct_products(m, data):
+def test_packed_scan_matches_direct_products(m, data):
     full = _direct_walk(m, None, None)
-    assert _gray_walk(m) == full
-    q = data.draw(st.sampled_from([quad[0] for _, quad, _ in full]))
+    quads = [quad[0] for _, quad, _ in full]
+    q = data.draw(st.sampled_from(quads))
     w = data.draw(st.integers(1, 4))
-    for lo, hi in [(q, q + 1), (q - w, q + w), (None, q), (q, None), (q + 1, q)]:
-        assert _gray_walk(m, lo, hi) == _direct_walk(m, lo, hi)
+    far = 10**20
+    _check_scan_windows(m, [*range(q - w, q + w + 1), min(quads) - far, max(quads) + far])
+    # the PD test of the ladder: quad * bscale^2 < corner * det
+    mode = _alpha_mode(Fraction(2, 7))
+    det = data.draw(st.integers(q * 4 // 7 - 2, q * 4 // 7 + 2))
+    want = [mask for mask, quad, _ in full if quad[0] * mode.bscale_sq < mode.corner * det]
+    assert _pd_neighbor_masks(mode, {"adj": m, "det": det}) == want
+
+
+@pytest.mark.parametrize("reach", [2**k + e for k in (7, 8, 15, 16, 63, 64) for e in (-1, 0)])
+def test_packed_scan_at_the_guard_bit(reach):
+    """Sums of |m_ij| over i < j of 2^k - 1 and 2^k, where a field of
+    reach.bit_length() + 1 bits rounded up to bytes is just wide enough or
+    gains a byte; each matrix has a sign vector whose field holds reach."""
+    third = reach // 3
+    rest = reach - 2 * third
+    for m in (
+        [[0, reach], [reach, 0]],
+        [[7, -reach], [-reach, -3]],
+        [[1, third, -third], [third, -2, rest], [-third, rest, 3]],
+    ):
+        quads = [quad[0] for _, quad, _ in _direct_walk(m, None, None)]
+        _check_scan_windows(m, sorted({q + e for q in quads for e in (-1, 0, 1)}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_symmetric_int_matrix_pairs(), data=st.data())
+def test_packed_scan_over_a_quadratic_ring(pair, data):
+    """Over Z[sqrt 17] both coordinate matrices are scanned; a candidate
+    needs both coordinates of its quad on target, and the PD test is the
+    exact sign of corner*det - bscale^2 * quad for each sign vector."""
+    d = 17
+    a, b = pair
+    n = len(a)
+    adj = [[ZSqrt(x, y, d) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    walk_a, walk_b = _direct_walk(a, None, None), _direct_walk(b, None, None)
+    quads = [(qa[0], qb[0]) for (_, qa, _), (_, qb, _) in zip(walk_a, walk_b)]
+    scan = _SignScan(adj, d)
+    assert scan.quads() == [list(col) for col in zip(*quads)]
+    g = data.draw(st.integers(0, len(quads) - 1))
+    ta, tb = quads[g][0] + data.draw(st.sampled_from([0, 0, 1])), quads[g][1]
+    hits = [i for i, q in enumerate(quads) if q == (ta, tb)]
+    assert scan.masks(scan.equal([ta, tb])) == [walk_a[i][0] for i in hits]
+    # 1/sqrt(17) has corner = bscale^2 = 17, so the unit target is det itself
+    mode = _alpha_mode(parse_scalar("1/sqrt(17)"))
+    cands = _candidate_data_raw(mode, ZSqrt(ta, tb, d), adj, n)
+    assert cands == [
+        (_sign_vector(walk_a[i][0], n), [walk_a[i][2][0], walk_b[i][2][0]]) for i in hits
+    ]
+    det = ZSqrt(ta + data.draw(st.integers(-2, 2)), tb + data.draw(st.integers(-2, 2)), d)
+    thresh = mode.corner * det
+    want = [
+        walk_a[i][0]
+        for i, q in enumerate(quads)
+        if quad_sign(thresh - mode.bscale_sq * ZSqrt(*q, d)) > 0
+    ]
+    assert _pd_neighbor_masks(mode, {"adj": adj, "det": det}) == want
+
+
+def test_a_wrong_realized_set_fails_re_certification(monkeypatch):
+    from equiangular import saturate
+
+    inner = saturate.realize
+
+    def one_line_short(seed, cands, chosen):
+        return inner(seed, cands, tuple(chosen)[:-1])
+
+    monkeypatch.setattr(saturate, "realize", one_line_short)
+    with pytest.raises(CertificateError, match="re-certification"):
+        m_alpha(8, Fraction(1, 3))
 
 
 @pytest.mark.parametrize("alpha", ["1/5", "1/sqrt(17)"])

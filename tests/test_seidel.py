@@ -250,6 +250,12 @@ def test_graph6_round_trip_and_networkx_agreement():
         assert graph_from_graph6(s) == mine
 
 
+@pytest.mark.parametrize("text", ["", " ", "F~~", "~?", "~??~"])
+def test_graph6_that_is_empty_or_truncated_is_a_value_error(text):
+    with pytest.raises(ValueError):
+        graph_from_graph6(text)
+
+
 def test_equiangular_json_round_trip():
     e = simplex_base(4, Fraction(1, 5))
     e2 = EquiangularSet.from_json(e.to_json())
