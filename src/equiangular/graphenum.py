@@ -16,15 +16,22 @@ filters keep the candidate stream small:
 The representative rule is tested cheaply first.  Refinement starts from the
 degrees and each round orders vertices by their previous color first, so the
 minimum-color class can only shrink from one round to the next: a new vertex
-of more than the minimum degree is rejected by popcounts alone, and the
-refinement of any other child stops as soon as the new vertex leaves color 0.
-An accepted child has run every round, so its colors are those of a full
-``refine_colors`` call.
+of more than the minimum degree is rejected in O(1) per child, from masks of
+the parent's low-degree vertices, and the refinement of any other child stops
+as soon as the new vertex leaves color 0.  An accepted child has run every
+round, so its colors are those of a full ``refine_colors`` call.
+
+Refinement and the duplicate filter's key are big-int arithmetic over one
+table per vertex count nv: spread[mask] holds a 1 at bit width*v for each
+vertex v of mask (width = nv.bit_length() * nv).  Weighting each row's spread
+by its vertex's color weight and summing, nv multiply-adds, leaves in field v
+the weighted count of v's neighbor colors; see ``refine_colors``.
 
 The duplicate filter (``ClassSet``) holds one int per class, its adjacency
-and colors packed together, under an int-encoded invariant key; the colors
-are stored, never recomputed, for the isomorphism tests.  A ladder step thus
-needs the parent level plus one int per new class.
+and colors packed together, under a key that packs the sorted final-color
+signatures into one int; the colors are stored, never recomputed, for the
+isomorphism tests.  A ladder step thus needs the parent level plus one int
+per new class.
 
 Adjacency is the bitmask-row form of seidel.Graph.
 """
@@ -33,12 +40,50 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from operator import lshift
+from operator import lshift, mul
 from typing import Iterable, Iterator, Sequence
 
 from equiangular.seidel import Graph, bits
 
 AdjList = list[int]
+
+SPREAD_TABLE_VERTICES = 10  # spread tables are built up to 2^10 entries
+
+
+@cache
+def _layout(nv: int) -> tuple[int, int, list[int], list[int], list[int]]:
+    """(width, field mask, field shifts, color weights, spread table) for nv
+    vertices, built on first use.  weight[c] = 2^(shift*(nv-1-c)) with
+    shift = nv.bit_length(): a vertex has fewer than 2^shift neighbors of any
+    color, so the weighted counts of distinct colors never overlap and a
+    field of width = shift*nv bits holds their sum.  Above
+    SPREAD_TABLE_VERTICES no table is built and ``_spread_rows`` spreads each
+    row bit by bit."""
+    shift = nv.bit_length()
+    width = shift * nv
+    shifts = [width * v for v in range(nv)]
+    spread = [0]
+    if nv <= SPREAD_TABLE_VERTICES:
+        for s in shifts:  # the masks with bit v set follow those without it
+            spread += [x + (1 << s) for x in spread]
+    weight = [1 << shift * (nv - 1 - c) for c in range(nv)]
+    return width, (1 << width) - 1, shifts, weight, spread
+
+
+def _spread_rows(nv: int, adj: Sequence[int]) -> list[int]:
+    """spread[a] for each adjacency row a."""
+    width, _, _, _, spread = _layout(nv)
+    if nv <= SPREAD_TABLE_VERTICES:
+        return [spread[a] for a in adj]
+    return [sum([1 << width * v for v in bits(a)]) for a in adj]
+
+
+def _signatures(nv: int, rows: Sequence[int], col: Sequence[int]) -> list[int]:
+    """((col[v] + 1) << width) - (weighted count of v's neighbor colors), per
+    vertex v, from one multiply-add per spread row."""
+    width, fmask, shifts, weight, _ = _layout(nv)
+    packed = sum(map(mul, [weight[c] for c in col], rows))
+    return [((c + 1) << width) - (packed >> s & fmask) for c, s in zip(col, shifts)]
 
 
 def refine_colors(
@@ -56,18 +101,15 @@ def refine_colors(
     A signature is (color, sorted neighbor colors).  Vertices of one color
     have one degree, and among equal-length sorted tuples the order is that
     of the neighbor color counts (count of color 0 first) reversed.  So the
-    signature is encoded as color*top - sum of weight[c] over the neighbor
-    colors c, with weight[c] = 2^(shift*(nv-1-c)) exceeding every count
-    below it; the integers sort exactly like the tuples, without a sort per
-    vertex."""
-    span = range(nv)
-    col = [adj[v].bit_count() for v in span]
-    nbrs = [[u for u in span if adj[v] >> u & 1] for v in span]
-    shift = nv.bit_length()
-    weight = [1 << shift * (nv - 1 - c) for c in span]
-    top = 1 << shift * nv
+    signature is encoded as (color + 1) << width minus the sum of weight[c]
+    over the neighbor colors c (see ``_layout``): the integers sort exactly
+    like the tuples.  All nv sums of a round come from one packed int,
+    sum over u of weight[col[u]] * spread[adj[u]], whose field v is v's sum;
+    no neighbor list is built and nothing is sorted per vertex."""
+    col = [a.bit_count() for a in adj]
+    rows = _spread_rows(nv, adj)
     for _ in range(rounds):
-        sig = [c * top - sum([weight[col[u]] for u in nb]) for c, nb in zip(col, nbrs)]
+        sig = _signatures(nv, rows, col)
         rankof = {s: i for i, s in enumerate(sorted(set(sig)))}
         new = [rankof[s] for s in sig]
         if new == col:
@@ -133,14 +175,14 @@ class ClassSet:
 
     A class is stored as its adjacency rows (``nv`` bits each) followed by its
     refinement colors (enough bits each for a color below ``nv``), packed
-    into one int.  It is filed under its invariant key, itself one int: the
-    count of each color, then the number of edges joining each pair of
-    colors, in fixed-width fields wide enough for any count, so two keys are
-    equal exactly when the sorted color histograms and the sorted edge-color
-    pairs are.  The first class of a key is held in ``first``, any further
-    class with that key in ``rest``; a new graph is compared, by
-    ``find_isomorphism`` on the unpacked rows and colors, only with the
-    classes of its key."""
+    into one int.  It is filed under its key, itself one int: the sorted
+    signatures (color, neighbor color counts) of its final colors, computed
+    as in ``refine_colors``, in fixed-width fields.  The key is invariant
+    under relabelling and determines the color histogram and the number of
+    edges joining each pair of colors.  The first class of a key is held in
+    ``first``, any further class with that key in ``rest``; a new graph is
+    compared, by ``find_isomorphism`` on the unpacked rows and colors, only
+    with the classes of its key."""
 
     def __init__(self, nv: int):
         self.nv = nv
@@ -151,23 +193,12 @@ class ClassSet:
         self._col_mask = (1 << cbits) - 1
         self._row_shifts = [nv * v for v in range(nv)]
         self._col_shifts = [nv * nv + cbits * v for v in range(nv)]
-        hbits = nv.bit_length()  # a color count is at most nv
-        ebits = (nv * (nv - 1) // 2).bit_length() or 1  # an edge count, at most nv choose 2
-        self._hist = [1 << hbits * c for c in range(nv)]
-        # the pair of colors lo <= hi has edge-count field number hi*(hi+1)/2 + lo
-        self._pair = [
-            [1 << hbits * nv + ebits * (max(a, b) * (max(a, b) + 1) // 2 + min(a, b))
-             for b in range(nv)]
-            for a in range(nv)
-        ]
+        sbits = _layout(nv)[0] + nv.bit_length()  # a signature is at most nv << width
+        self._sig_shifts = [sbits * v for v in range(nv)]
 
     def _key(self, adj: AdjList, col: Sequence[int]) -> int:
-        pair = self._pair
-        key = sum([self._hist[c] for c in col])
-        for v, a in enumerate(adj):
-            row = pair[col[v]]
-            key += sum([row[col[u]] for u in bits(a >> v + 1 << v + 1)])
-        return key
+        sigs = sorted(_signatures(self.nv, _spread_rows(self.nv, adj), col))
+        return sum(map(lshift, sigs, self._sig_shifts))
 
     def _unpack(self, packed: int) -> tuple[AdjList, list[int]]:
         rows, cols = self._row_mask, self._col_mask
@@ -195,29 +226,41 @@ class ClassSet:
         return True
 
 
-def attach_vertex(k: int, children: Iterable[tuple]) -> Iterator[tuple]:
-    """One ladder step.  ``children`` yields (parent adjacency on k vertices,
-    neighbor mask nb of the new vertex k, payload); yields (payload, child
-    adjacency) for each child that obeys the representative rule and starts a
-    new (k+1)-vertex isomorphism class, in input order."""
+def attach_vertex(k: int, groups: Iterable[tuple]) -> Iterator[tuple]:
+    """One ladder step.  ``groups`` yields, parent by parent, (parent
+    adjacency on k vertices, neighbor masks of the new vertex k, payload);
+    yields (payload, nb, child adjacency) for each child that obeys the
+    representative rule and starts a new (k+1)-vertex isomorphism class, in
+    input order.
+
+    The degree form of the rule costs O(1) per child: with below[t] the mask
+    of the parent's vertices of degree < t, a new vertex of degree deg > 0
+    has the child's minimum degree exactly when no vertex has degree below
+    deg - 1 (below[deg - 1] == 0) and every vertex of degree deg - 1 gains
+    the new vertex (below[deg] & ~nb == 0)."""
     classes = ClassSet(k + 1)
-    for adj, nb, payload in children:
-        deg = nb.bit_count()
-        if any(a.bit_count() + (nb >> i & 1) < deg for i, a in enumerate(adj)):
-            continue  # representative rule, by degree: color 0 has minimum degree
-        na = [a | ((nb >> i & 1) << k) for i, a in enumerate(adj)]
-        na.append(nb)
-        col = refine_colors(k + 1, na, _watch=k)
-        if col[k] != 0:
-            continue  # representative rule: new vertex must be of minimum color
-        if classes.add(na, col):
-            yield payload, na
+    for adj, nbs, payload in groups:
+        below = [0] * (k + 2)
+        for v, a in enumerate(adj):
+            for t in range(a.bit_count() + 1, k + 2):
+                below[t] |= 1 << v
+        for nb in nbs:
+            deg = nb.bit_count()
+            if deg and (below[deg - 1] or below[deg] & ~nb):
+                continue  # representative rule, by degree: color 0 has minimum degree
+            na = [a | ((nb >> i & 1) << k) for i, a in enumerate(adj)]
+            na.append(nb)
+            col = refine_colors(k + 1, na, _watch=k)
+            if col[k] != 0:
+                continue  # representative rule: new vertex must be of minimum color
+            if classes.add(na, col):
+                yield payload, nb, na
 
 
 def extend_classes(parents: Iterable[AdjList], k: int) -> list[AdjList]:
     """All (k+1)-vertex classes reachable by adding one vertex to the parents."""
-    children = ((adj, nb, None) for adj in parents for nb in range(1 << k))
-    return [na for _, na in attach_vertex(k, children)]
+    masks = range(1 << k)
+    return [na for *_, na in attach_vertex(k, ((adj, masks, None) for adj in parents))]
 
 
 def graph_classes(n: int) -> list[Graph]:

@@ -37,8 +37,8 @@ INDEFINITE = "indefinite"
 
 
 def _coerce_entry(x) -> Scalar:
-    if isinstance(x, QuadExt):
-        return x
+    if isinstance(x, QuadExt) or type(x) is Fraction:
+        return x  # immutable: shared entries stay shared
     return Fraction(x)
 
 
@@ -105,20 +105,21 @@ class SymMatrix:
         Z[sqrt d] otherwise."""
         d = self.radicand()
         zero = Fraction(0)
-
-        def coords(x):
-            return (x.a, x.b) if isinstance(x, QuadExt) else (x, zero)
-
-        c = lcm(*{y.denominator for r in self.rows for x in r for y in coords(x)})
+        # each distinct entry object is converted once (a Gram matrix has three)
+        coords = {
+            id(x): (x.a, x.b) if isinstance(x, QuadExt) else (x, zero)
+            for r in self.rows for x in r
+        }
+        c = lcm(*{y.denominator for ab in coords.values() for y in ab})
 
         def scale(y: Fraction) -> int:  # c*y, exact since y.denominator divides c
             return y.numerator * (c // y.denominator)
 
         if d is None:
-            return [[scale(coords(x)[0]) for x in r] for r in self.rows], c
-        return [
-            [ZSqrt(scale(a), scale(b), d) for a, b in map(coords, r)] for r in self.rows
-        ], c
+            ring = {k: scale(a) for k, (a, _) in coords.items()}
+        else:
+            ring = {k: ZSqrt(scale(a), scale(b), d) for k, (a, b) in coords.items()}
+        return [[ring[id(x)] for x in r] for r in self.rows], c
 
     # -- serialization ------------------------------------------------------
     def to_json(self) -> str:

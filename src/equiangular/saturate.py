@@ -188,14 +188,15 @@ def _root_record(mode: _Mode) -> dict:
     return {"masks": [], "det": mode.corner, "adj": [[ring_element((1, 0), mode.d)]]}
 
 
-def _extend_record(mode: _Mode, rec: dict, nb: int) -> dict:
-    """Record of the class grown by a vertex with neighbor mask nb."""
+def _extend_record(mode: _Mode, rec: dict, nb: int, ms: list) -> dict:
+    """Record of the class grown by a vertex with neighbor mask nb; ms are
+    the integer coordinate matrices of rec's adjugate (_adj_components)."""
     k = len(rec["masks"])
     n = k + 1
     masks = [m | ((nb >> i & 1) << k) for i, m in enumerate(rec["masks"])]
     masks.append(nb)
     det, adj = rec["det"], rec["adj"]
-    quad, u = _quad_u(mode, rec, nb)
+    quad, u = _quad_u(ms, nb)
     det_new = mode.corner * det - mode.bscale_sq * ring_element(quad, mode.d)
     su = [mode.bscale * x for x in from_components(u, mode.d)]
     new_adj = [[None] * n + [-x] for x in su]
@@ -208,7 +209,11 @@ def _extend_record(mode: _Mode, rec: dict, nb: int) -> dict:
 
 
 def _adj_components(adj: list, d: int) -> list[list[list[int]]]:
-    """The two integer coordinate matrices of a matrix over Z[sqrt d]."""
+    """The integer coordinate matrices of a ring matrix: the matrix itself
+    over Z (d = 0), its two coordinate matrices over Z[sqrt d].  The ladder
+    splits each record once and hands the result to its scan and children."""
+    if not d:
+        return [adj]
     return [list(rows) for rows in zip(*(components(row, d) for row in adj))]
 
 
@@ -240,7 +245,7 @@ def _patterns(n: int, step: int) -> tuple[int, int, list[int]]:
 
 class _SignScan:
     """b^T m b for all 2^(n-1) sign vectors b (b[0] = +1) of the integer
-    coordinate matrices m of a ring matrix (one over Z, two over Z[sqrt d]).
+    coordinate matrices ms of a ring matrix (one over Z, two over Z[sqrt d]).
 
     With D_ij = 1 where b[i] != b[j], b^T m b = q1 - 4*S(b), where q1 sums
     all entries of m and S sums m_ij * D_ij over i < j.  One int per matrix,
@@ -251,9 +256,9 @@ class _SignScan:
     reach.bit_length() + 1 bits rounded up to bytes, so no value reaches its
     top (guard) bit; each test returns the guards of the vectors that pass."""
 
-    def __init__(self, adj: list, d: int):
-        self.ms = ms = _adj_components(adj, d) if d else [adj]
-        self.n = n = len(adj)
+    def __init__(self, ms: list[list[list[int]]]):
+        self.ms = ms
+        self.n = n = len(ms[0])
         upper = [[row[j] for i, row in enumerate(m) for j in range(i + 1, n)] for m in ms]
         self.reach = max(sum(map(abs, xs)) for xs in upper)
         self.step = self.reach.bit_length() // 8 + 1
@@ -306,12 +311,13 @@ def _sign_vector(mask: int, n: int) -> tuple[int, ...]:
     return (1,) + tuple(-1 if mask >> i & 1 else 1 for i in range(n - 1))
 
 
-def _pd_neighbor_masks(mode: _Mode, rec: dict) -> list[int]:
+def _pd_neighbor_masks(mode: _Mode, rec: dict, ms: list) -> list[int]:
     """The neighbor masks of every one-vertex extension keeping the Gram PD,
-    i.e. with corner*det - bscale^2 * quad > 0, in Gray order."""
+    i.e. with corner*det - bscale^2 * quad > 0, in Gray order; ms are the
+    coordinate matrices of rec's adjugate."""
     thresh = mode.corner * rec["det"]
     bsq, d = mode.bscale_sq, mode.d
-    scan = _SignScan(rec["adj"], d)
+    scan = _SignScan(ms)
     if not d:  # over Z the test is the bound quad < thresh / bsq (bsq > 0)
         return scan.masks(scan.below(-(-thresh // bsq)))
     # over Z[sqrt d] the sign test needs both coordinates of quad
@@ -324,10 +330,12 @@ def _pd_neighbor_masks(mode: _Mode, rec: dict) -> list[int]:
 
 def _pd_children(mode: _Mode, level: list[dict]):
     """Every PD one-vertex extension of the level's records, as attach_vertex
-    input (parent graph, neighbor mask, (record, mask))."""
+    input: (parent graph, the neighbor masks of its PD children, (record,
+    coordinate matrices of its adjugate)).  Each adjugate is split once, for
+    the scan and for every child that starts a class."""
     for rec in level:
-        for nb in _pd_neighbor_masks(mode, rec):
-            yield rec["masks"], nb, (rec, nb)
+        ms = _adj_components(rec["adj"], mode.d)
+        yield rec["masks"], _pd_neighbor_masks(mode, rec, ms), (rec, ms)
 
 
 def _pd_ladder(mode: _Mode, graph_size: int) -> list[dict]:
@@ -335,18 +343,16 @@ def _pd_ladder(mode: _Mode, graph_size: int) -> list[dict]:
     level = [_root_record(mode)]
     for k in range(graph_size):
         level = [
-            _extend_record(mode, *child)
-            for child, _ in attach_vertex(k, _pd_children(mode, level))
+            _extend_record(mode, rec, nb, ms)
+            for (rec, ms), nb, _ in attach_vertex(k, _pd_children(mode, level))
         ]
     return level
 
 
-def _quad_u(mode: _Mode, rec: dict, nb: int):
+def _quad_u(ms: list, nb: int):
     """(quad, u) = (b^T adj b, adj @ b) in integer coordinates for the sign
-    vector b of neighbor mask nb, computed directly."""
-    adj = rec["adj"]
-    b = _sign_vector(nb, len(adj))
-    ms = _adj_components(adj, mode.d) if mode.d else [adj]
+    vector b of neighbor mask nb, from the coordinate matrices ms of adj."""
+    b = _sign_vector(nb, len(ms[0]))
     us = [[sum(map(mul, row, b)) for row in m] for m in ms]
     return [sum(map(mul, u, b)) for u in us], us
 
@@ -361,7 +367,8 @@ def seed_for_graph(r: int, alpha: Scalar, graph: Graph) -> BasisSeed:
     mode = _alpha_mode(alpha)
     rec = _root_record(mode)
     for k, row in enumerate(graph.adj):
-        rec = _extend_record(mode, rec, row & ((1 << k) - 1))
+        ms = _adj_components(rec["adj"], mode.d)
+        rec = _extend_record(mode, rec, row & ((1 << k) - 1), ms)
         if quad_sign(rec["det"]) <= 0:
             raise CertificateError("the basis Gram is not positive definite")
     return BasisSeed(r, alpha, graph, mode, rec["det"], rec["adj"])
@@ -396,7 +403,7 @@ def _candidate_data_raw(mode: _Mode, det, adj, r: int):
     target = _exact_quotient(mode.corner * det, mode.bscale_sq)
     if target is None:
         return []
-    scan = _SignScan(adj, mode.d)
+    scan = _SignScan(_adj_components(adj, mode.d))
     signs = [_sign_vector(nb, r) for nb in scan.masks(scan.equal(ring_parts(target, mode.d)))]
     return [(eps, [[sum(map(mul, row, eps)) for row in m] for m in scan.ms]) for eps in signs]
 
@@ -510,8 +517,8 @@ def _final_totals(mode: _Mode, parents: list[dict], r: int, jobs: int):
     in arrival order.  With one job each class is reduced as soon as the
     ladder yields it; with more, classes go to a worker pool in batches."""
     records = (
-        (tuple(masks), _extend_record(mode, *child))
-        for child, masks in attach_vertex(r - 2, _pd_children(mode, parents))
+        (tuple(masks), _extend_record(mode, rec, nb, ms))
+        for (rec, ms), nb, masks in attach_vertex(r - 2, _pd_children(mode, parents))
     )
     if jobs <= 1:
         for masks, rec in records:

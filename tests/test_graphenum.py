@@ -1,7 +1,10 @@
 import random
 
 import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from equiangular import graphenum
 from equiangular.graphenum import ClassSet, attach_vertex, graph_classes, refine_colors
 
 
@@ -12,25 +15,47 @@ def _nx_graph(adj):
     return g
 
 
-def _reference_attach(k, children):
+def _child(adj, nb, k):
+    na = [a | ((nb >> i & 1) << k) for i, a in enumerate(adj)]
+    na.append(nb)
+    return na
+
+
+def _reference_attach(k, groups):
     """The representative rule as a full refinement followed by col[k] == 0;
     duplicates removed with networkx.is_isomorphic against the kept children
     with the same multiset of (degree, sorted neighbor degrees)."""
     kept = {}  # that multiset -> kept children as networkx graphs
     out = []
-    for adj, nb, payload in children:
-        na = [a | ((nb >> i & 1) << k) for i, a in enumerate(adj)]
-        na.append(nb)
-        if refine_colors(k + 1, na)[k] != 0:
-            continue
-        g = _nx_graph(na)
-        deg = dict(g.degree)
-        nbr_degs = tuple(sorted((deg[v], tuple(sorted(deg[u] for u in g[v]))) for v in g))
-        same = kept.setdefault(nbr_degs, [])
-        if not any(nx.is_isomorphic(g, h) for h in same):
-            same.append(g)
-            out.append((payload, na))
+    for adj, nbs, payload in groups:
+        for nb in nbs:
+            na = _child(adj, nb, k)
+            if refine_colors(k + 1, na)[k] != 0:
+                continue
+            g = _nx_graph(na)
+            deg = dict(g.degree)
+            nbr_degs = tuple(sorted((deg[v], tuple(sorted(deg[u] for u in g[v]))) for v in g))
+            same = kept.setdefault(nbr_degs, [])
+            if not any(nx.is_isomorphic(g, h) for h in same):
+                same.append(g)
+                out.append((payload, nb, na))
     return out
+
+
+def _reference_refine(nv, adj, rounds=3, watch=None):
+    """Refinement on explicit signatures (color, sorted neighbor colors)."""
+    col = [adj[v].bit_count() for v in range(nv)]
+    nbrs = [[u for u in range(nv) if adj[v] >> u & 1] for v in range(nv)]
+    for _ in range(rounds):
+        sig = [(col[v], tuple(sorted(col[u] for u in nbrs[v]))) for v in range(nv)]
+        rankof = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [rankof[s] for s in sig]
+        if new == col:
+            break
+        col = new
+        if watch is not None and col[watch]:
+            break
+    return col
 
 
 def _random_adj(rng, n, p):
@@ -43,15 +68,25 @@ def _random_adj(rng, n, p):
     return adj
 
 
-def _children(parents, k):
-    return [(adj, nb, (p, nb)) for p, adj in enumerate(parents) for nb in range(1 << k)]
+def _adj_from_edges(n, edge_bits):
+    adj = [0] * n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), bit in zip(pairs, edge_bits):
+        if bit:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+def _groups(parents, k):
+    return [(adj, range(1 << k), p) for p, adj in enumerate(parents)]
 
 
 def test_attach_vertex_matches_full_refinement_on_every_small_class():
     for k in range(1, 7):
         parents = [list(g.adj) for g in graph_classes(k)]
-        children = _children(parents, k)
-        assert list(attach_vertex(k, children)) == _reference_attach(k, children), k
+        groups = _groups(parents, k)
+        assert list(attach_vertex(k, groups)) == _reference_attach(k, groups), k
 
 
 def test_attach_vertex_matches_full_refinement_on_random_parents():
@@ -59,8 +94,64 @@ def test_attach_vertex_matches_full_refinement_on_random_parents():
     for k in (7, 8, 9):
         parents = [_random_adj(rng, k, rng.choice((0.2, 0.5, 0.8))) for _ in range(4)]
         parents.append(parents[0][:])  # a repeated parent: every child is a duplicate
-        children = _children(parents, k)
-        assert list(attach_vertex(k, children)) == _reference_attach(k, children), k
+        groups = _groups(parents, k)
+        assert list(attach_vertex(k, groups)) == _reference_attach(k, groups), k
+
+
+def test_attach_vertex_takes_any_subset_of_masks_in_the_given_order():
+    rng = random.Random(31)
+    for k in (4, 6, 8):
+        parents = [_random_adj(rng, k, rng.random()) for _ in range(5)]
+        groups = [
+            (adj, rng.sample(range(1 << k), rng.randint(0, 1 << k)), p)
+            for p, adj in enumerate(parents)
+        ]
+        assert list(attach_vertex(k, groups)) == _reference_attach(k, groups), k
+
+
+def test_degree_rule_refines_exactly_the_children_of_minimum_degree(monkeypatch):
+    """The O(1) rule of attach_vertex against the direct test: the new vertex
+    has no more than the degree of any vertex of the child.  Exactly the
+    children that pass reach refine_colors, on every mask."""
+    rng = random.Random(9)
+    refined = []
+
+    def recording(nv, adj, *args, **kwargs):
+        refined.append(list(adj))
+        return refine_colors(nv, adj, *args, **kwargs)
+
+    monkeypatch.setattr(graphenum, "refine_colors", recording)
+    for k in range(0, 10):
+        for _ in range(6 if k else 1):
+            adj = _random_adj(rng, k, rng.random())
+            refined.clear()
+            list(attach_vertex(k, [(adj, range(1 << k), None)]))
+            expect = [
+                _child(adj, nb, k)
+                for nb in range(1 << k)
+                if not any(a.bit_count() + (nb >> i & 1) < nb.bit_count() for i, a in enumerate(adj))
+            ]
+            assert refined == expect, (k, adj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+        )
+    )
+)
+def test_refine_colors_matches_tuple_signatures(graph):
+    """Every rounds count and every watched vertex, on up to 12 vertices (the
+    spread table covers up to 10, rows are spread one by one above)."""
+    n, edge_bits = graph
+    adj = _adj_from_edges(n, edge_bits)
+    for rounds in range(n + 2):
+        for watch in [None, *range(n)]:
+            assert refine_colors(n, adj, rounds, _watch=watch) == _reference_refine(
+                n, adj, rounds, watch
+            ), (n, adj, rounds, watch)
 
 
 def test_watched_refinement_stops_only_for_vertices_outside_color_zero():
@@ -107,18 +198,44 @@ def test_class_set_holds_one_int_per_class():
             assert classes.rest
 
 
+def _signature_invariant(adj, col):
+    """The sorted (color, sorted neighbor colors) pairs of the vertices."""
+    n = len(adj)
+    return tuple(sorted((col[v], tuple(sorted(col[u] for u in range(n) if adj[v] >> u & 1))) for v in range(n)))
+
+
+def _histogram_invariant(adj, col):
+    """The sorted colors and the sorted color pairs of the edges."""
+    n = len(adj)
+    edge_colors = sorted(
+        tuple(sorted((col[v], col[u]))) for v in range(n) for u in range(v) if adj[v] >> u & 1
+    )
+    return tuple(sorted(col)), tuple(edge_colors)
+
+
 def test_class_set_keys_are_equal_exactly_when_the_invariants_are():
-    for n in range(1, 8):
+    """Keys match the sorted signature pairs one to one, and determine the
+    color histogram and the edge counts per color pair, so they separate
+    every pair of graphs those separate."""
+    for n in range(1, 9):
         classes = ClassSet(n)
-        by_invariant, keys = {}, set()
+        by_invariant, by_key = {}, {}
         for g in graph_classes(n):
             adj = list(g.adj)
             col = refine_colors(n, adj)
-            edge_colors = sorted(
-                tuple(sorted((col[v], col[u]))) for v in range(n) for u in range(v) if adj[v] >> u & 1
-            )
-            invariant = (tuple(sorted(col)), tuple(edge_colors))
             key = classes._key(adj, col)
-            assert by_invariant.setdefault(invariant, key) == key
-            keys.add(key)
-        assert len(keys) == len(by_invariant), n
+            assert by_invariant.setdefault(_signature_invariant(adj, col), key) == key
+            assert by_key.setdefault(key, _histogram_invariant(adj, col)) == _histogram_invariant(adj, col)
+        assert len(by_key) == len(by_invariant), n
+
+
+def test_class_set_key_is_invariant_under_relabelling():
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        adj = _random_adj(rng, n, rng.random())
+        perm = list(range(n))
+        rng.shuffle(perm)
+        copy = _relabel(adj, perm)
+        classes = ClassSet(n)
+        assert classes._key(adj, refine_colors(n, adj)) == classes._key(copy, refine_colors(n, copy))

@@ -439,3 +439,22 @@ def test_integral_scaled_equals_multiplying_each_coordinate(m):
     want, c_want = _integral_scaled_by_multiplying(m)
     assert c == c_want
     assert [list(map(_ring_key, r)) for r in got] == [list(map(_ring_key, r)) for r in want]
+
+
+@pytest.mark.parametrize("alpha", [frac(1, 5), QuadExt(0, frac(1, 17), 17)])
+def test_integral_scaled_converts_each_distinct_entry_once(alpha):
+    """A Gram matrix I + alpha*A has three distinct entries; its scaled rows
+    hold three ring elements, each shared by every position of its entry."""
+    rng = random.Random(3)
+    n = 9
+    entries = (frac(1) + 0 * alpha, alpha, -alpha)
+    rows = [[entries[0]] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.choice(entries[1:])
+    got, c = SymMatrix(rows).integral_scaled()
+    want, c_want = _integral_scaled_by_multiplying(SymMatrix(rows))
+    assert c == c_want
+    assert [list(map(_ring_key, r)) for r in got] == [list(map(_ring_key, r)) for r in want]
+    if isinstance(alpha, QuadExt):
+        assert len({id(x) for r in got for x in r}) == 3

@@ -16,6 +16,7 @@ from equiangular.linalg import psd_check
 from equiangular.saturate import (
     CertificateError,
     _SignScan,
+    _adj_components,
     _alpha_mode,
     _candidate_data_raw,
     _pd_ladder,
@@ -286,7 +287,7 @@ def _masks(walk):
 def _check_scan_windows(m, targets):
     """Equality and upper-bound tests of the packed scan of m against the
     direct products, for every target, in Gray order."""
-    scan = _SignScan(m, 0)
+    scan = _SignScan([m])
     assert scan.quads() == [[quad[0] for _, quad, _ in _direct_walk(m, None, None)]]
     for t in targets:
         assert scan.masks(scan.equal([t])) == _masks(_direct_walk(m, t, t + 1))
@@ -306,7 +307,7 @@ def test_packed_scan_matches_direct_products(m, data):
     mode = _alpha_mode(Fraction(2, 7))
     det = data.draw(st.integers(q * 4 // 7 - 2, q * 4 // 7 + 2))
     want = [mask for mask, quad, _ in full if quad[0] * mode.bscale_sq < mode.corner * det]
-    assert _pd_neighbor_masks(mode, {"adj": m, "det": det}) == want
+    assert _pd_neighbor_masks(mode, {"adj": m, "det": det}, [m]) == want
 
 
 @pytest.mark.parametrize("reach", [2**k + e for k in (7, 8, 15, 16, 63, 64) for e in (-1, 0)])
@@ -337,7 +338,8 @@ def test_packed_scan_over_a_quadratic_ring(pair, data):
     adj = [[ZSqrt(x, y, d) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
     walk_a, walk_b = _direct_walk(a, None, None), _direct_walk(b, None, None)
     quads = [(qa[0], qb[0]) for (_, qa, _), (_, qb, _) in zip(walk_a, walk_b)]
-    scan = _SignScan(adj, d)
+    assert _adj_components(adj, d) == [a, b]
+    scan = _SignScan([a, b])
     assert scan.quads() == [list(col) for col in zip(*quads)]
     g = data.draw(st.integers(0, len(quads) - 1))
     ta, tb = quads[g][0] + data.draw(st.sampled_from([0, 0, 1])), quads[g][1]
@@ -356,7 +358,7 @@ def test_packed_scan_over_a_quadratic_ring(pair, data):
         for i, q in enumerate(quads)
         if quad_sign(thresh - mode.bscale_sq * ZSqrt(*q, d)) > 0
     ]
-    assert _pd_neighbor_masks(mode, {"adj": adj, "det": det}) == want
+    assert _pd_neighbor_masks(mode, {"adj": adj, "det": det}, [a, b]) == want
 
 
 def test_a_wrong_realized_set_fails_re_certification(monkeypatch):
