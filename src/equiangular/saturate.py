@@ -31,6 +31,19 @@ Gray order.  Equality with a target (per coordinate) and, over Z, the PD
 bound are guard-bit tests on that int; the exact Z[sqrt d] PD sign is tested
 per sign vector on the unpacked fields.  adj@eps is computed only for the
 candidate lines and for the children that start a new class.
+
+The final level builds no child record and no child scan.  The parent's
+packed scan gives P(b) = corner*det - bscale^2 * (b^T adj b) for every b;
+the child of sign vector beta has det' = P(beta), and with x = L - s*det,
+L = bscale * (adj beta) . eps:
+
+    unit candidate (eps, s) of the child:  bscale^2 * x^2 == P(beta) * P(eps)
+    compatible candidates i, j:  bscale * (P(beta) * (adj eps_i) . eps_j
+                                           + x_i * x_j) == +-det * P(beta)
+
+So P(beta) * P(eps) must be bscale^2 times a square, and then the product
+of the int keys of P(beta) and P(eps) (the element over Z, its norm over
+Z[sqrt d]) is a perfect square.
 """
 
 from __future__ import annotations
@@ -38,8 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import compress, islice
-from math import lcm
+from itertools import compress, groupby, islice
+from math import isqrt, lcm
 from operator import mul
 from typing import Sequence
 
@@ -311,31 +324,35 @@ def _sign_vector(mask: int, n: int) -> tuple[int, ...]:
     return (1,) + tuple(-1 if mask >> i & 1 else 1 for i in range(n - 1))
 
 
-def _pd_neighbor_masks(mode: _Mode, rec: dict, ms: list) -> list[int]:
+def _pd_values(mode: _Mode, det, scan: _SignScan) -> list:
+    """P(b) = corner*det - bscale^2 * b^T adj b for every sign vector b in
+    Gray order, as ring elements: the scaled det of the child of b."""
+    thresh, bsq, d = mode.corner * det, mode.bscale_sq, mode.d
+    return [thresh - bsq * ring_element(quad, d) for quad in zip(*scan.quads())]
+
+
+def _pd_neighbor_masks(mode: _Mode, rec: dict, scan: _SignScan, pvals=None) -> list[int]:
     """The neighbor masks of every one-vertex extension keeping the Gram PD,
-    i.e. with corner*det - bscale^2 * quad > 0, in Gray order; ms are the
-    coordinate matrices of rec's adjugate."""
-    thresh = mode.corner * rec["det"]
-    bsq, d = mode.bscale_sq, mode.d
-    scan = _SignScan(ms)
-    if not d:  # over Z the test is the bound quad < thresh / bsq (bsq > 0)
-        return scan.masks(scan.below(-(-thresh // bsq)))
-    # over Z[sqrt d] the sign test needs both coordinates of quad
-    return [
-        nb
-        for nb, *quad in zip(_gray_masks(scan.n), *scan.quads())
-        if quad_sign(thresh - bsq * ring_element(quad, d)) > 0
-    ]
+    i.e. with P(b) > 0, in Gray order; scan is the _SignScan of rec's
+    adjugate and pvals, over Z[sqrt d], its _pd_values if already known."""
+    if not mode.d:  # over Z the test is the bound quad < corner*det / bsq (bsq > 0)
+        return scan.masks(scan.below(-(-mode.corner * rec["det"] // mode.bscale_sq)))
+    # over Z[sqrt d] the sign test needs both coordinates of P(b)
+    if pvals is None:
+        pvals = _pd_values(mode, rec["det"], scan)
+    return [nb for nb, p in zip(_gray_masks(scan.n), pvals) if quad_sign(p) > 0]
 
 
 def _pd_children(mode: _Mode, level: list[dict]):
     """Every PD one-vertex extension of the level's records, as attach_vertex
-    input: (parent graph, the neighbor masks of its PD children, (record,
-    coordinate matrices of its adjugate)).  Each adjugate is split once, for
-    the scan and for every child that starts a class."""
+    input: (parent graph, the neighbor masks of its PD children, (scan,
+    record, P values or None)).  Each adjugate is scanned once, for its PD
+    children and for every child that starts a class; over Z[sqrt d] the P
+    values of the PD test come along, over Z they are left to the caller."""
     for rec in level:
-        ms = _adj_components(rec["adj"], mode.d)
-        yield rec["masks"], _pd_neighbor_masks(mode, rec, ms), (rec, ms)
+        scan = _SignScan(_adj_components(rec["adj"], mode.d))
+        pvals = _pd_values(mode, rec["det"], scan) if mode.d else None
+        yield rec["masks"], _pd_neighbor_masks(mode, rec, scan, pvals), (scan, rec, pvals)
 
 
 def _pd_ladder(mode: _Mode, graph_size: int) -> list[dict]:
@@ -343,8 +360,8 @@ def _pd_ladder(mode: _Mode, graph_size: int) -> list[dict]:
     level = [_root_record(mode)]
     for k in range(graph_size):
         level = [
-            _extend_record(mode, rec, nb, ms)
-            for (rec, ms), nb, _ in attach_vertex(k, _pd_children(mode, level))
+            _extend_record(mode, rec, nb, scan.ms)
+            for (scan, rec, _), nb, _ in attach_vertex(k, _pd_children(mode, level))
         ]
     return level
 
@@ -498,40 +515,111 @@ def saturation_report(seed: BasisSeed, want_witness: bool = True) -> SaturationR
     return rep
 
 
-def _total_from_record(mode: _Mode, rec: dict, r: int) -> int:
-    data = _candidate_data_raw(mode, rec["det"], rec["adj"], r)
-    nc = len(data)
-    if nc == 0:
-        return r
-    adj = _compat_adj_raw(mode, rec["det"], data, r)
-    return r + _clique_number(adj, nc)
+def _gray_index(mask: int) -> int:
+    """The position of a sign-vector mask in Gray order (see _gray_masks)."""
+    g = 0
+    while mask:
+        g ^= mask
+        mask >>= 1
+    return g
 
 
-def _total_worker(args) -> int:
-    mode, det, adjrows, r = args
-    return _total_from_record(mode, {"det": det, "adj": adjrows}, r)
+def _square_key(x, d: int) -> int:
+    """An int with key(x)*key(y) a perfect square whenever x*y is a square
+    in the ring: x itself over Z, the norm a^2 - d*b^2 over Z[sqrt d] (the
+    norm is multiplicative)."""
+    return x.a * x.a - d * x.b * x.b if d else x
+
+
+@cache
+def _sign_vectors(n: int) -> tuple[tuple[int, ...], ...]:
+    """The sign vectors of length n with b[0] = +1, in Gray order."""
+    return tuple(_sign_vector(mask, n) for mask in _gray_masks(n))
+
+
+def _children_totals(mode: _Mode, det, ms: list, pvals: list, nbs: list[int], r: int) -> list[int]:
+    """Saturation totals of the children of one parent record (det, the
+    coordinate matrices ms of its adjugate A and its _pd_values P), one per
+    neighbor mask in nbs, by the identities of the module docstring.  Only
+    the eps with P(eps) >= 0 whose square key times that of P(beta) is a
+    perfect square are tested, one test per distinct value P(eps)."""
+    d, bscale, bsq = mode.d, mode.bscale, mode.bscale_sq
+    n = len(ms[0])
+    by_value: dict = {}  # P(eps) -> the sign vectors eps with that value
+    for eps, p in zip(_sign_vectors(n), pvals):
+        by_value.setdefault(p, []).append(eps)
+    members = [(p, _square_key(p, d), vectors) for p, vectors in by_value.items() if quad_sign(p) >= 0]
+    totals = []
+    for nb in nbs:
+        pb = pvals[_gray_index(nb)]
+        kb = _square_key(pb, d)
+        ab = None  # A beta, once a value passes the square test
+        found = []  # (eps, x) per candidate
+        for pe, ke, vectors in members:
+            k = kb * ke
+            if k < 0 or isqrt(k) ** 2 != k:
+                continue
+            if ab is None:
+                beta = _sign_vector(nb, n)
+                ab = [[sum(map(mul, row, beta)) for row in m] for m in ms]
+            pp = pb * pe
+            for eps in vectors:
+                lin = bscale * ring_element([sum(map(mul, u, eps)) for u in ab], d)
+                for x in (lin - det, lin + det):
+                    if bsq * x * x == pp:
+                        found.append((eps, x))
+        nc = len(found)
+        if nc <= 1:
+            totals.append(r + nc)
+            continue
+        target, adj = det * pb, [0] * nc
+        for i, (ei, xi) in enumerate(found):
+            aei = [[sum(map(mul, row, ei)) for row in m] for m in ms]
+            for j in range(i + 1, nc):
+                ej, xj = found[j]
+                dot = ring_element([sum(map(mul, u, ej)) for u in aei], d)
+                v = bscale * (pb * dot + xi * xj)
+                if v == target or v == -target:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        totals.append(r + _clique_number(adj, nc))
+    return totals
+
+
+def _final_groups(mode: _Mode, parents: list[dict], r: int):
+    """Per parent of the final level: (the graph masks of its children that
+    start a class, the _children_totals arguments that reduce them)."""
+    children = attach_vertex(r - 2, _pd_children(mode, parents))
+    for _, group in groupby(children, key=lambda child: child[0][0]):  # the scan, by identity
+        group = list(group)
+        scan, rec, pvals = group[0][0]
+        if pvals is None:
+            pvals = _pd_values(mode, rec["det"], scan)
+        nbs = [nb for _, nb, _ in group]
+        yield [tuple(masks) for *_, masks in group], (mode, rec["det"], scan.ms, pvals, nbs, r)
 
 
 def _final_totals(mode: _Mode, parents: list[dict], r: int, jobs: int):
     """(graph masks, saturation total) for every class of the final level,
-    in arrival order.  With one job each class is reduced as soon as the
-    ladder yields it; with more, classes go to a worker pool in batches."""
-    records = (
-        (tuple(masks), _extend_record(mode, rec, nb, ms))
-        for (rec, ms), nb, masks in attach_vertex(r - 2, _pd_children(mode, parents))
-    )
+    in arrival order.  The classes arrive grouped by parent, and each group
+    is reduced by _children_totals from the parent's scan alone: the child
+    of sign vector beta has det' = P(beta), and (eps, s) is one of its unit
+    candidates exactly when bscale^2 * (L - s*det)^2 = P(beta) * P(eps).
+    With one job a group is reduced as soon as the ladder yields it; with
+    more, groups go to a worker pool in batches."""
+    groups = _final_groups(mode, parents, r)
     if jobs <= 1:
-        for masks, rec in records:
-            yield masks, _total_from_record(mode, rec, r)
+        for masks, args in groups:
+            yield from zip(masks, _children_totals(*args))
         return
     from multiprocessing import Pool
 
     pool = Pool(jobs)
     try:
-        while batch := list(islice(records, 1024)):
-            args = [(mode, rec["det"], rec["adj"], r) for _, rec in batch]
-            totals = pool.map(_total_worker, args, chunksize=16)
-            yield from zip([masks for masks, _ in batch], totals)
+        while batch := list(islice(groups, 64)):
+            totals = pool.starmap(_children_totals, [args for _, args in batch], chunksize=4)
+            for (masks, _), group_totals in zip(batch, totals):
+                yield from zip(masks, group_totals)
     finally:
         pool.close()
         pool.join()
@@ -551,6 +639,11 @@ def m_alpha(
     the total is kept, in a histogram, with the graph masks of the classes
     that tie the running maximum.  The memory footprint stays at the
     previous level plus one int per class in the duplicate filter.
+
+    A final-level total comes from the parent's data alone (the child of
+    sign vector beta has det' = P(beta) and the candidates (eps, s) with
+    bscale^2 * (L - s*det)^2 = P(beta) * P(eps), see the module docstring);
+    each maximizing seed is then rebuilt and re-certified on its own record.
     """
     if r < 2:
         raise ValueError("rank >= 2 required")

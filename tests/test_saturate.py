@@ -4,8 +4,10 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 from operator import mul
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,9 +21,14 @@ from equiangular.saturate import (
     _adj_components,
     _alpha_mode,
     _candidate_data_raw,
+    _children_totals,
+    _compat_adj_raw,
+    _extend_record,
     _pd_ladder,
     _pd_neighbor_masks,
+    _pd_values,
     _sign_vector,
+    _square_key,
     candidates,
     compatibility_graph,
     enumerate_pd_bases,
@@ -32,7 +39,14 @@ from equiangular.saturate import (
     switching_isomorphism,
     uniqueness_check_8_third,
 )
-from equiangular.seidel import EquiangularSet, SeidelMatrix, switch, SwitchingOp
+from equiangular.seidel import (
+    EquiangularSet,
+    SeidelMatrix,
+    SwitchingOp,
+    _clique_number,
+    graph_from_graph6,
+    switch,
+)
 
 
 def test_graph_class_counts():
@@ -307,7 +321,7 @@ def test_packed_scan_matches_direct_products(m, data):
     mode = _alpha_mode(Fraction(2, 7))
     det = data.draw(st.integers(q * 4 // 7 - 2, q * 4 // 7 + 2))
     want = [mask for mask, quad, _ in full if quad[0] * mode.bscale_sq < mode.corner * det]
-    assert _pd_neighbor_masks(mode, {"adj": m, "det": det}, [m]) == want
+    assert _pd_neighbor_masks(mode, {"adj": m, "det": det}, _SignScan([m])) == want
 
 
 @pytest.mark.parametrize("reach", [2**k + e for k in (7, 8, 15, 16, 63, 64) for e in (-1, 0)])
@@ -358,7 +372,7 @@ def test_packed_scan_over_a_quadratic_ring(pair, data):
         for i, q in enumerate(quads)
         if quad_sign(thresh - mode.bscale_sq * ZSqrt(*q, d)) > 0
     ]
-    assert _pd_neighbor_masks(mode, {"adj": adj, "det": det}, [a, b]) == want
+    assert _pd_neighbor_masks(mode, {"adj": adj, "det": det}, _SignScan([a, b])) == want
 
 
 def test_a_wrong_realized_set_fails_re_certification(monkeypatch):
@@ -436,3 +450,173 @@ print(json.dumps([sys.flags.optimize, out]))
     assert out["3"] == [14, 3, {"8": 1, "14": 2}]
     assert out["5"] == [10, 924, {"8": 627, "9": 264, "10": 33}]
     assert "not positive semidefinite" in out["indefinite"]
+
+
+def _record_total(mode, rec, r):
+    """The saturation total of a class record by its own scan, compatibility
+    graph and clique search."""
+    data = _candidate_data_raw(mode, rec["det"], rec["adj"], r)
+    if not data:
+        return r
+    return r + _clique_number(_compat_adj_raw(mode, rec["det"], data, r), len(data))
+
+
+@pytest.mark.parametrize(
+    "r,alpha,children,zeros",
+    [(8, "1/5", 8924, 39), (8, "1/7", 9983, 1), (7, "1/sqrt(13)", 556, 0), (8, "1/sqrt(17)", 5067, 94)],
+)
+def test_children_totals_match_the_record_path(r, alpha, children, zeros):
+    """Every PD child of every final-level parent, not only the class
+    representatives, gets the same total from the parent's data as from its
+    own record.  The sign vectors with P(eps) = 0 (the parent's own
+    candidates) are counted, so the cells that reach them are known."""
+    mode = _alpha_mode(parse_scalar(alpha))
+    seen = zero_members = 0
+    for rec in _pd_ladder(mode, r - 2):
+        scan = _SignScan(_adj_components(rec["adj"], mode.d))
+        pvals = _pd_values(mode, rec["det"], scan)
+        nbs = _pd_neighbor_masks(mode, rec, scan, pvals)
+        want = [_record_total(mode, _extend_record(mode, rec, nb, scan.ms), r) for nb in nbs]
+        assert _children_totals(mode, rec["det"], scan.ms, pvals, nbs, r) == want
+        seen += len(nbs)
+        zero_members += sum(not p for p in pvals)
+    assert (seen, zero_members) == (children, zeros)
+
+
+_UNITS = {2: ZSqrt(1, 1, 2), 5: ZSqrt(2, 1, 5), 13: ZSqrt(18, 5, 13), 17: ZSqrt(4, 1, 17)}
+
+
+def _ring_elements(d):
+    ints = st.integers(-10**6, 10**6)
+    if not d:
+        return ints
+    return st.builds(lambda a, b: ZSqrt(a, b, d), ints, ints)
+
+
+def _power(x, k, one):
+    out = one
+    for _ in range(k):
+        out = out * x
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from([0, 2, 5, 13, 17]), data=st.data())
+def test_square_keys_of_a_square_product(d, data):
+    """Whenever x*y = bscale^2 * z^2 in Z or Z[sqrt d], key(x)*key(y) is a
+    perfect square.  Solutions are built as x = m*a^2*e^k and
+    y = m*(bscale*c)^2*e'^k, with a unit e of norm -1 over Z[sqrt d] and its
+    inverse e'."""
+    el = _ring_elements(d)
+    m, a, c, bscale = (data.draw(el) for _ in range(4))
+    one = ZSqrt(1, 0, d) if d else 1
+    k = data.draw(st.integers(0, 3))
+    unit = _power(_UNITS[d], k, one) if d else 1
+    inv = _power(ZSqrt(-_UNITS[d].a, _UNITS[d].b, d), k, one) if d else 1
+    assert unit * inv == one  # e * (-conj(e)) = -norm(e) = 1
+    x = m * a * a * unit
+    y = m * bscale * bscale * c * c * inv
+    assert x * y == bscale * bscale * (m * a * c) * (m * a * c)
+    kx, ky = _square_key(x, d), _square_key(y, d)
+    prod = kx * ky
+    assert prod >= 0 and isqrt(prod) ** 2 == prod
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 10**20), k=st.integers(0, 10**40))
+def test_isqrt_is_exact_up_to_1e40(n, k):
+    assert isqrt(n * n) == n
+    if n:
+        assert isqrt(n * n - 1) == n - 1
+    t = isqrt(k)
+    assert t * t <= k < (t + 1) * (t + 1)
+
+
+@pytest.mark.parametrize("alpha", ["1/5", "1/sqrt(17)"])
+def test_worker_pool_gives_the_same_report(alpha):
+    one = m_alpha(8, parse_scalar(alpha), jobs=1).to_dict()
+    assert m_alpha(8, parse_scalar(alpha), jobs=2).to_dict() == one
+
+
+def _bareiss_adjugate(h):
+    """(det, adjugate) of the symmetric integer matrix h by fraction-free
+    Gauss-Jordan elimination on [h | I], or None unless every leading
+    principal minor (the k-th pivot) is positive, i.e. h is PD."""
+    n = len(h)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(h)]
+    prev = 1
+    for k in range(n):
+        piv = m[k][k]
+        if piv <= 0:
+            return None
+        for i in range(n):
+            if i != k:
+                mik = m[i][k]
+                m[i] = [(piv * x - mik * y) // prev for x, y in zip(m[i], m[k])]
+        prev = piv
+    return prev, [row[n:] for row in m]
+
+
+def _atlas_saturation(q):
+    """(totals histogram, maximizing graphs) of the rank-8 angle-1/q search
+    by brute force over the networkx graph atlas: every 7-vertex graph
+    whose scaled Gram h = q*G (root +1 with all, -1 on edges, +1 on
+    non-edges, q on the diagonal) is PD, all 128 sign vectors tested
+    against adj(h), and maximum cliques by nx.find_cliques."""
+    r = 8
+    signs = [(1,) + tuple(1 - 2 * (g >> i & 1) for i in range(r - 1)) for g in range(1 << (r - 1))]
+    hist, best, winners = {}, 0, []
+    for g in nx.graph_atlas_g():
+        if g.number_of_nodes() != r - 1:
+            continue
+        h = [
+            [q if i == j else -1 if i and j and g.has_edge(i - 1, j - 1) else 1 for j in range(r)]
+            for i in range(r)
+        ]
+        found = _bareiss_adjugate(h)
+        if found is None:
+            continue
+        det, adj = found
+        assert all(
+            sum(adj[i][t] * h[t][j] for t in range(r)) == (det if i == j else 0)
+            for i in range(r) for j in range(r)
+        )
+        # a unit line at angle 1/q with the basis: eps^T G^-1 eps = q^2, i.e. eps^T adj eps = q*det
+        cands = []
+        for eps in signs:
+            u = [sum(map(mul, row, eps)) for row in adj]
+            if sum(map(mul, u, eps)) == q * det:
+                cands.append((eps, u))
+        compat = nx.Graph()
+        compat.add_nodes_from(range(len(cands)))
+        for i, (_, u) in enumerate(cands):  # inner product +-1/q: eps_i^T adj eps_j = +-det
+            compat.add_edges_from(
+                (i, j) for j in range(i + 1, len(cands)) if abs(sum(map(mul, u, cands[j][0]))) == det
+            )
+        total = r + max((len(c) for c in nx.find_cliques(compat)), default=0)
+        hist[total] = hist.get(total, 0) + 1
+        if total > best:
+            best, winners = total, []
+        if total == best:
+            winners.append(g)
+    return hist, winners
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_rank8_matches_a_brute_force_over_the_graph_atlas(q):
+    """An oracle that shares no code with graphenum or saturate: the PD
+    class count, the totals histogram and the maximizing graphs (up to
+    isomorphism) of m_alpha(8, 1/q)."""
+    hist, winners = _atlas_saturation(q)
+    rep = m_alpha(8, Fraction(1, q))
+    assert rep.certificate["seeds"] == sum(hist.values())
+    assert rep.certificate["totals_histogram"] == {str(t): n for t, n in sorted(hist.items())}
+    seeds = rep.certificate["maximizing_seeds"]
+    assert len(seeds) == len(winners)
+    for entry in seeds:
+        g6 = graph_from_graph6(entry["graph6"])
+        graph = nx.Graph([(i, j) for i in range(g6.n) for j in range(i) if g6.has_edge(i, j)])
+        graph.add_nodes_from(range(g6.n))
+        assert sum(nx.is_isomorphic(graph, w) for w in winners) == 1
+    if q == 5:
+        assert hist == {8: 627, 9: 264, 10: 33}  # 924 classes
