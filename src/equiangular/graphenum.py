@@ -2,12 +2,15 @@
 
 Each n-vertex class is grown from an (n-1)-vertex class by attaching one new
 vertex (``attach_vertex``, one ladder step); duplicates are removed with
-color-refinement invariants plus an exact backtracking isomorphism test.  Two
+color-refinement invariants plus an exact backtracking isomorphism test.  Three
 filters keep the candidate stream small:
 
 * a completeness-preserving representative rule (the new vertex must land in
   the minimum refinement color: deleting a minimum-color vertex of any target
-  class reaches a stored parent, so every class is still produced), and
+  class reaches a stored parent, so every class is still produced),
+* a twin rule: a child that a twin swap of its parent maps onto the child of
+  an earlier mask of that parent is skipped before refinement, since the
+  two are isomorphic (see ``attach_vertex``), and
 * hereditary pruning by the caller, which chooses the children it offers (the
   saturation search offers only positive-definite Gram extensions: principal
   submatrices of PD matrices are PD, so pruned parents cannot have unpruned
@@ -226,6 +229,17 @@ class ClassSet:
         return True
 
 
+def _twin_pairs(adj: Sequence[int]) -> list[int]:
+    """The masks 1 << u | 1 << v of the twins u < v, N(u) - {v} = N(v) - {u}:
+    exactly the pairs whose transposition (u v) is an automorphism."""
+    return [
+        1 << u | 1 << v
+        for v in range(len(adj))
+        for u in range(v)
+        if not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v)
+    ]
+
+
 def attach_vertex(k: int, groups: Iterable[tuple]) -> Iterator[tuple]:
     """One ladder step.  ``groups`` yields, parent by parent, (parent
     adjacency on k vertices, neighbor masks of the new vertex k, payload);
@@ -237,17 +251,32 @@ def attach_vertex(k: int, groups: Iterable[tuple]) -> Iterator[tuple]:
     of the parent's vertices of degree < t, a new vertex of degree deg > 0
     has the child's minimum degree exactly when no vertex has degree below
     deg - 1 (below[deg - 1] == 0) and every vertex of degree deg - 1 gains
-    the new vertex (below[deg] & ~nb == 0)."""
+    the new vertex (below[deg] & ~nb == 0).
+
+    Twin rule: when u, v are twins of the parent, the transposition (u v) is
+    an automorphism of it, and with the new vertex fixed it maps the child of
+    a mask nb holding exactly one of u, v onto the child of nb ^ (1<<u | 1<<v).
+    The degree rule, the color rule and the dedup each give isomorphic
+    children (new vertex fixed) one verdict, so a child whose twin image
+    passed the degree rule earlier would be rejected anyway: it is skipped
+    before refinement, and the output is the same for any masks in any order."""
     classes = ClassSet(k + 1)
     for adj, nbs, payload in groups:
         below = [0] * (k + 2)
         for v, a in enumerate(adj):
             for t in range(a.bit_count() + 1, k + 2):
                 below[t] |= 1 << v
+        twins = _twin_pairs(adj)
+        seen = set()  # the masks that passed the degree rule, if twins exist
         for nb in nbs:
             deg = nb.bit_count()
             if deg and (below[deg - 1] or below[deg] & ~nb):
                 continue  # representative rule, by degree: color 0 has minimum degree
+            if twins:
+                known = any(nb ^ t in seen for t in twins if nb & t != t and nb & t)
+                seen.add(nb)
+                if known:
+                    continue  # a twin swap maps this child onto an earlier one
             na = [a | ((nb >> i & 1) << k) for i, a in enumerate(adj)]
             na.append(nb)
             col = refine_colors(k + 1, na, _watch=k)

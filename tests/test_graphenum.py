@@ -1,6 +1,7 @@
 import random
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,6 +79,13 @@ def _adj_from_edges(n, edge_bits):
     return adj
 
 
+_GRAPHS = st.integers(1, 12).flatmap(  # (n, the edge bits of a graph on n vertices)
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    )
+)
+
+
 def _groups(parents, k):
     return [(adj, range(1 << k), p) for p, adj in enumerate(parents)]
 
@@ -109,11 +117,21 @@ def test_attach_vertex_takes_any_subset_of_masks_in_the_given_order():
         assert list(attach_vertex(k, groups)) == _reference_attach(k, groups), k
 
 
-def test_degree_rule_refines_exactly_the_children_of_minimum_degree(monkeypatch):
-    """The O(1) rule of attach_vertex against the direct test: the new vertex
-    has no more than the degree of any vertex of the child.  Exactly the
-    children that pass reach refine_colors, on every mask."""
-    rng = random.Random(9)
+def _automorphic_transpositions(adj):
+    """1 << u | 1 << v for each u < v whose transposition leaves adj unchanged."""
+    k = len(adj)
+    out = []
+    for v in range(k):
+        for u in range(v):
+            perm = list(range(k))
+            perm[u], perm[v] = v, u
+            if _relabel(adj, perm) == adj:
+                out.append(1 << u | 1 << v)
+    return out
+
+
+def _recording_refine(monkeypatch):
+    """Patch refine_colors to record every child it is called on."""
     refined = []
 
     def recording(nv, adj, *args, **kwargs):
@@ -121,27 +139,94 @@ def test_degree_rule_refines_exactly_the_children_of_minimum_degree(monkeypatch)
         return refine_colors(nv, adj, *args, **kwargs)
 
     monkeypatch.setattr(graphenum, "refine_colors", recording)
+    return refined
+
+
+def test_degree_rule_refines_exactly_the_children_of_minimum_degree(monkeypatch):
+    """The O(1) degree rule of attach_vertex against the direct test (the new
+    vertex has no more than the degree of any vertex of the child), followed
+    by the twin rule against the direct test (a transposition (u v) that
+    leaves adj unchanged, and an earlier mask that passed the degree rule and
+    differs from nb by swapping u and v).  Exactly the children that pass
+    both reach refine_colors, on every mask."""
+    rng = random.Random(9)
+    refined = _recording_refine(monkeypatch)
     for k in range(0, 10):
         for _ in range(6 if k else 1):
             adj = _random_adj(rng, k, rng.random())
+            autos = _automorphic_transpositions(adj)
             refined.clear()
             list(attach_vertex(k, [(adj, range(1 << k), None)]))
-            expect = [
-                _child(adj, nb, k)
-                for nb in range(1 << k)
-                if not any(a.bit_count() + (nb >> i & 1) < nb.bit_count() for i, a in enumerate(adj))
-            ]
+            passed, expect = set(), []
+            for nb in range(1 << k):
+                if any(a.bit_count() + (nb >> i & 1) < nb.bit_count() for i, a in enumerate(adj)):
+                    continue
+                if not any((nb & t).bit_count() == 1 and nb ^ t in passed for t in autos):
+                    expect.append(_child(adj, nb, k))
+                passed.add(nb)
             assert refined == expect, (k, adj)
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.integers(1, 12).flatmap(
-        lambda n: st.tuples(
-            st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
-        )
-    )
-)
+@given(_GRAPHS)
+def test_twin_pairs_are_exactly_the_transpositions_that_are_automorphisms(graph):
+    n, edge_bits = graph
+    adj = _adj_from_edges(n, edge_bits)
+    assert graphenum._twin_pairs(adj) == _automorphic_transpositions(adj)
+
+
+def _parent_with_twins(rng, k):
+    """A random graph on k >= 2 vertices in which some vertex is made a twin
+    of another, adjacent to it or not, and sometimes a third made a twin too."""
+    adj = _random_adj(rng, k, rng.random())
+    for _ in range(rng.randint(1, 2)):
+        u, v = rng.sample(range(k), 2)
+        for w in range(k):  # make v a twin of u
+            if w not in (u, v):
+                bit = adj[u] >> w & 1
+                adj[v] = adj[v] & ~(1 << w) | bit << w
+                adj[w] = adj[w] & ~(1 << v) | bit << v
+    return adj
+
+
+@pytest.mark.parametrize("order", ["binary", "gray", "random subset"])
+def test_every_child_the_twin_rule_skips_is_isomorphic_to_an_earlier_one(monkeypatch, order):
+    """Each child that passes the degree rule but never reaches refine_colors
+    is isomorphic, with the new vertex fixed, to a child of an earlier mask
+    of the same parent (networkx).  The rule fires for every k >= 2: the
+    complete graph, the first parent, has all its pairs as twins."""
+    rng = random.Random(2024)
+    refined = _recording_refine(monkeypatch)
+    for k in range(1, 10):
+        skipped = 0
+        complete = [(1 << k) - 1 & ~(1 << v) for v in range(k)]  # every pair is a twin pair
+        for adj in [complete, *(_parent_with_twins(rng, k) for _ in range(4 if k >= 2 else 0))]:
+            masks = list(range(1 << k))
+            if order == "gray":
+                masks = [g ^ (g >> 1) for g in masks]
+            elif order == "random subset":  # all masks of the complete graph, shuffled
+                masks = rng.sample(masks, 1 << k if adj is complete else rng.randint(1 << k - 1, 1 << k))
+            refined.clear()
+            list(attach_vertex(k, [(adj, masks, None)]))
+            reached = {tuple(na) for na in refined}
+            earlier = []
+            for nb in masks:
+                na = _child(adj, nb, k)
+                g = _nx_graph(na)
+                nx.set_node_attributes(g, {v: v == k for v in g}, "new")
+                degree_ok = all(a.bit_count() >= nb.bit_count() for a in na)
+                if degree_ok and tuple(na) not in reached:
+                    skipped += 1
+                    assert any(
+                        nx.is_isomorphic(g, h, node_match=lambda x, y: x["new"] == y["new"])
+                        for h in earlier
+                    ), (k, adj, nb)
+                earlier.append(g)
+        assert skipped or k == 1, (order, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GRAPHS)
 def test_refine_colors_matches_tuple_signatures(graph):
     """Every rounds count and every watched vertex, on up to 12 vertices (the
     spread table covers up to 10, rows are spread one by one above)."""
