@@ -8,11 +8,13 @@ denominator invariants.  ``QuadExt`` fixes one radicand per value and refuses to
 mix distinct radicands, since no computation here ever needs a compositum field.
 
 Fraction-free work (Bareiss elimination, the saturation search) scales its input
-into a ring: plain ``int`` for rational data, ``ZSqrt`` (a + b*sqrt(d) with int
-a, b) for Q(sqrt d) data.  Both support ``+ - * // ==``, truth and an exact sign
-(``quad_sign``), so one source line serves both rings.  A ring is named by its
-radicand, 0 standing for Z; ``components`` / ``from_components`` convert between
-ring elements and their integer coordinate lists for linear scans.
+into a ring, Z for rational data and Z[sqrt d] for Q(sqrt d) data, and computes
+on integer coordinates: an int over Z, a pair (a, b) for a + b*sqrt(d).  An
+exact quotient over Z[sqrt d] multiplies by the conjugate of the divisor and
+divides exactly by its integer norm (``zsqrt_divide``, and ``zsqrt_rows_step``
+for the fraction-free step on whole coordinate rows); both raise
+ArithmeticError unless the quotient lies in the ring.  ``ZSqrt`` wraps one
+pair for elimination code that is written once for both rings (``rank_of``).
 """
 
 from __future__ import annotations
@@ -201,12 +203,56 @@ def _sign_ab(a, b, d: int) -> int:
     return sa if lhs > rhs else sb
 
 
+def zsqrt_mul(x, y, d: int) -> tuple[int, int]:
+    """x*y for coordinate pairs x = (a, b), meaning a + b*sqrt(d), and y."""
+    return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def zsqrt_divide(x, y, d: int) -> tuple[int, int]:
+    """x / y for coordinate pairs of Z[sqrt d]: x times the conjugate of y,
+    divided exactly by the norm of y.  Raises ZeroDivisionError for y = 0 and
+    ArithmeticError unless the quotient lies in Z[sqrt d]."""
+    (a, b), (c, e) = x, y
+    nrm = c * c - d * e * e  # zero only for y = 0, d not a square
+    if nrm == 0:
+        raise ZeroDivisionError("division by zero in Z[sqrt d]")
+    qa, ra = divmod(a * c - d * b * e, nrm)
+    qb, rb = divmod(b * c - a * e, nrm)
+    if ra or rb:
+        raise ArithmeticError(f"{a} + {b}*sqrt({d}) is not divisible by {c} + {e}*sqrt({d})")
+    return qa, qb
+
+
+def zsqrt_rows_step(p, c, q, xs, ys, d: int) -> tuple[list[int], list[int]]:
+    """The fraction-free step (p*x_j - c*y_j) / q over Z[sqrt d] for every
+    position j of the coordinate rows xs = (x_a, x_b) and ys = (y_a, y_b);
+    p, c, q are coordinate pairs.  p and c are multiplied by the conjugate of
+    q once, so each entry divides exactly by the int norm of q; raises
+    ArithmeticError if an entry is not divisible."""
+    (pa, pb), (ca, cb), (qa, qb) = p, c, q
+    nrm = qa * qa - d * qb * qb
+    pa, pb = pa * qa - d * pb * qb, pb * qa - pa * qb
+    ca, cb = ca * qa - d * cb * qb, cb * qa - ca * qb
+    dpb, dcb = d * pb, d * cb
+    out_a, out_b = [], []
+    for xa, xb, ya, yb in zip(*xs, *ys):
+        va, ra = divmod(pa * xa + dpb * xb - ca * ya - dcb * yb, nrm)
+        vb, rb = divmod(pb * xa + pa * xb - cb * ya - ca * yb, nrm)
+        if ra or rb:
+            raise ArithmeticError(f"a fraction-free step is not exact in Z[sqrt {d}]")
+        out_a.append(va)
+        out_b.append(vb)
+    return out_a, out_b
+
+
 class ZSqrt:
-    """The element a + b*sqrt(d) of the ring Z[sqrt d], with int a, b.
+    """The element a + b*sqrt(d) of the ring Z[sqrt d], with int a, b, for
+    elimination code written once for int and ZSqrt entries (``- * // ==``
+    and truth).
 
     One radicand per computation (not checked); ints mix in as b = 0.  ``//``
-    is exact division: it raises ArithmeticError unless the quotient lies in
-    Z[sqrt d], so a fraction-free algorithm cannot silently round.
+    is exact division (zsqrt_divide), so a fraction-free algorithm cannot
+    silently round.
     """
 
     __slots__ = ("a", "b", "d")
@@ -216,23 +262,10 @@ class ZSqrt:
         self.b = b
         self.d = d
 
-    def __add__(self, o):
-        if isinstance(o, int):
-            return ZSqrt(self.a + o, self.b, self.d)
-        return ZSqrt(self.a + o.a, self.b + o.b, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ZSqrt(-self.a, -self.b, self.d)
-
     def __sub__(self, o):
         if isinstance(o, int):
             return ZSqrt(self.a - o, self.b, self.d)
         return ZSqrt(self.a - o.a, self.b - o.b, self.d)
-
-    def __rsub__(self, o):
-        return ZSqrt(o - self.a, -self.b, self.d)
 
     def __mul__(self, o):
         if isinstance(o, int):
@@ -240,23 +273,9 @@ class ZSqrt:
         a, b, oa, ob = self.a, self.b, o.a, o.b
         return ZSqrt(a * oa + b * ob * self.d, a * ob + b * oa, self.d)
 
-    __rmul__ = __mul__
-
     def __floordiv__(self, o):
-        if isinstance(o, int):
-            nrm, rx, ry = o, self.a, self.b
-        else:
-            oa, ob, d = o.a, o.b, self.d
-            nrm = oa * oa - ob * ob * d  # zero only for o = 0, d not a square
-            rx = self.a * oa - self.b * ob * d
-            ry = self.b * oa - self.a * ob
-        if nrm == 0:
-            raise ZeroDivisionError("division by zero in Z[sqrt d]")
-        qx, mx = divmod(rx, nrm)
-        qy, my = divmod(ry, nrm)
-        if mx or my:
-            raise ArithmeticError(f"{self!r} is not divisible by {o!r} in Z[sqrt {self.d}]")
-        return ZSqrt(qx, qy, self.d)
+        y = (o, 0) if isinstance(o, int) else (o.a, o.b)
+        return ZSqrt(*zsqrt_divide((self.a, self.b), y, self.d), self.d)
 
     def __eq__(self, o):
         if isinstance(o, ZSqrt):
@@ -265,56 +284,24 @@ class ZSqrt:
             return self.b == 0 and self.a == o
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.d))
-
     def __bool__(self):
         return bool(self.a or self.b)
 
-    def sign(self) -> int:
-        return _sign_ab(self.a, self.b, self.d)
 
-    def __repr__(self):
-        return f"ZSqrt({self.a}, {self.b}, {self.d})"
-
-
-def ring_element(parts, d: int):
-    """The element of Z (d = 0) or Z[sqrt d] with integer coordinates parts:
-    (a,) or (a, b) for a + b*sqrt(d); over Z only parts[0] is read."""
-    return ZSqrt(parts[0], parts[1], d) if d else parts[0]
+def ring_to_scalar(x, d: int) -> Scalar:
+    """A ring element in integer coordinates as an exact scalar: Fraction(x)
+    over Z (d = 0), QuadExt for a pair (a, b) over Z[sqrt d]."""
+    return QuadExt(Fraction(x[0]), Fraction(x[1]), d) if d else Fraction(x)
 
 
-def ring_parts(x, d: int) -> tuple[int, ...]:
-    """Integer coordinates of a ring element (inverse of ring_element)."""
-    return (x.a, x.b) if d else (x,)
-
-
-def components(xs, d: int) -> list[list[int]]:
-    """Integer coordinate lists of ring elements: [xs] over Z (d = 0), and
-    [[a...], [b...]] over Z[sqrt d]."""
-    if not d:
-        return [list(xs)]
-    return [[x.a for x in xs], [x.b for x in xs]]
-
-
-def from_components(comps, d: int) -> list:
-    """Ring elements from their integer coordinate lists (inverse of components)."""
-    if not d:
-        return list(comps[0])
-    return [ZSqrt(a, b, d) for a, b in zip(*comps)]
-
-
-def ring_to_scalar(x) -> Scalar:
-    """A ring element as an exact scalar: Fraction for Z, QuadExt for Z[sqrt d]."""
-    if isinstance(x, ZSqrt):
-        return QuadExt(Fraction(x.a), Fraction(x.b), x.d)
-    return Fraction(x)
+def ring_sign(x, d: int) -> int:
+    """Exact sign of a ring element in integer coordinates (see ring_to_scalar)."""
+    return _sign_ab(x[0], x[1], d) if d else (x > 0) - (x < 0)
 
 
 def quad_sign(x) -> int:
-    """Exact sign in {-1, 0, +1} of a rational or quadratic scalar, or of a
-    ring element."""
-    if isinstance(x, (QuadExt, ZSqrt)):
+    """Exact sign in {-1, 0, +1} of a rational or quadratic scalar."""
+    if isinstance(x, QuadExt):
         return x.sign()
     return (x > 0) - (x < 0)
 

@@ -6,10 +6,14 @@ matrix is first scaled into a ring, Z for rational entries and Z[sqrt d] for
 entries in Q(sqrt d), and eliminated fraction-free (Bareiss updates, exact
 divisions), so pivot signs are signs of leading principal minors of a symmetric
 reordering.  The scaling is integer-only: with c the lcm of all coordinate
-denominators, a coordinate p/q becomes p * (c // q).  Ranks use the same
-fraction-free elimination with full pivoting.  The same source lines serve
-both rings.  An indefinite verdict always carries a witness vector v with
-v^T M v < 0, re-checked against the input before returning.
+denominators, a coordinate p/q becomes p * (c // q).  Over Z the elimination
+runs on the int matrix; over Z[sqrt d] it runs on the two integer coordinate
+matrices of a + b*sqrt(d), and each Bareiss division multiplies by the
+conjugate of the previous pivot and divides exactly by its integer norm
+(exactnum.zsqrt_rows_step).  Ranks use fraction-free elimination with full
+pivoting, written once for int and ZSqrt entries.  An indefinite verdict always
+carries a witness vector v with v^T M v < 0, re-checked against the input
+before returning.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ from equiangular.exactnum import (
     format_scalar,
     parse_scalar,
     quad_sign,
+    ring_sign,
     ring_to_scalar,
+    zsqrt_rows_step,
 )
 
 POSITIVE_DEFINITE = "positive_definite"
@@ -57,7 +63,8 @@ class SymMatrix:
             raise ValueError("square matrix required")
         for i in range(n):
             for j in range(i + 1, n):
-                if coerced[i][j] != coerced[j][i]:
+                x, y = coerced[i][j], coerced[j][i]
+                if x is not y and x != y:  # shared entries (a Gram matrix has three) match at once
                     raise ValueError(f"not symmetric at ({i},{j})")
         self.n = n
         self.rows = coerced
@@ -179,7 +186,7 @@ def _quadratic_form(M: SymMatrix, v: Sequence[Scalar]):
     return acc
 
 
-def _backpropagate(steps, witness: dict):
+def _backpropagate(steps, witness: dict, d: int):
     """Extend a negative witness of a reduced block through the recorded Schur
     pivot steps; only the ratio column/pivot is used, so fraction-free scaling
     of the intermediate matrices does not matter."""
@@ -188,8 +195,8 @@ def _backpropagate(steps, witness: dict):
         for j, bj in column.items():
             wj = witness.get(j)
             if wj:
-                acc = acc + ring_to_scalar(bj) * wj
-        witness[pivot_idx] = -acc / ring_to_scalar(pivot_val)
+                acc = acc + ring_to_scalar(bj, d) * wj
+        witness[pivot_idx] = -acc / ring_to_scalar(pivot_val, d)
     return witness
 
 
@@ -202,30 +209,32 @@ def psd_check(M: SymMatrix) -> PsdCertificate:
     indefiniteness and yields an explicit witness.
     """
     rows, _ = M.integral_scaled()
+    first = rows[0][0]
+    d = first.d if isinstance(first, ZSqrt) else 0
+    # the active block in integer coordinates: one matrix over Z, two over Z[sqrt d]
+    ms = [[[x.a for x in r] for r in rows], [[x.b for x in r] for r in rows]] if d else [rows]
+
+    def entry(i, j):
+        return (ms[0][i][j], ms[1][i][j]) if d else rows[i][j]
+
     n = M.n
-    active = list(range(n))
+    active = list(range(n))  # the index in M of each row of the active block
     steps = []  # (pivot index, pivot value, {active j: M[pivot][j]})
-    prev = 1
+    prev = (1, 0) if d else 1
 
     while active:
-        pivot = None
-        for p in active:
-            if quad_sign(rows[p][p]) > 0:
-                pivot = p
-                break
-        if pivot is None:
-            neg = next((p for p in active if quad_sign(rows[p][p]) < 0), None)
+        k = len(active)
+        t = next((i for i in range(k) if ring_sign(entry(i, i), d) > 0), None)
+        if t is None:
+            neg = next((i for i in range(k) if ring_sign(entry(i, i), d) < 0), None)
             if neg is not None:
-                witness = _backpropagate(steps, {neg: Fraction(1)})
+                witness = {active[neg]: Fraction(1)}
             else:
-                offdiag = None
-                for ii, i in enumerate(active):
-                    for j in active[ii + 1 :]:
-                        if quad_sign(rows[i][j]) != 0:
-                            offdiag = (i, j)
-                            break
-                    if offdiag:
-                        break
+                offdiag = next(
+                    ((i, j) for i in range(k) for j in range(i + 1, k)
+                     if ring_sign(entry(i, j), d)),
+                    None,
+                )
                 if offdiag is None:
                     rank = len(steps)
                     cert = PsdCertificate(
@@ -235,24 +244,38 @@ def psd_check(M: SymMatrix) -> PsdCertificate:
                     )
                     return cert
                 i, j = offdiag
-                witness = _backpropagate(
-                    steps, {i: Fraction(1), j: Fraction(-quad_sign(rows[i][j]))}
-                )
+                witness = {
+                    active[i]: Fraction(1), active[j]: Fraction(-ring_sign(entry(i, j), d))
+                }
+            witness = _backpropagate(steps, witness, d)
             vec = tuple(witness.get(k, Fraction(0)) for k in range(n))
             if quad_sign(_quadratic_form(M, vec)) >= 0:
                 raise AssertionError("internal error: witness failed re-check")
             return PsdCertificate(INDEFINITE, rank_of(M), witness=vec)
 
-        a = rows[pivot][pivot]
-        rest = [j for j in active if j != pivot]
-        column = {j: rows[pivot][j] for j in rest}
-        steps.append((pivot, a, column))
-        for x, i in enumerate(rest):
-            ri, rpi = rows[i], rows[i][pivot]
-            for j in rest[x:]:
-                val = (a * ri[j] - rpi * rows[pivot][j]) // prev
-                rows[i][j] = val
-                rows[j][i] = val
+        # take out the pivot row and column, then update the rest in place:
+        # row x from column x on, mirrored at once into column x
+        a = entry(t, t)
+        ys = [m.pop(t) for m in ms]
+        for m in ms:
+            for row in m:
+                del row[t]
+        for y in ys:
+            del y[t]
+        rest = active[:t] + active[t + 1 :]
+        steps.append((active[t], a, dict(zip(rest, zip(*ys) if d else ys[0]))))
+        for x in range(k - 1):
+            if d:
+                new = zsqrt_rows_step(
+                    a, (ys[0][x], ys[1][x]), prev, [m[x][x:] for m in ms], [y[x:] for y in ys], d
+                )
+            else:
+                c = ys[0][x]
+                new = ([(a * u - c * v) // prev for u, v in zip(rows[x][x:], ys[0][x:])],)
+            for m, up in zip(ms, new):
+                m[x][x:] = up
+                for row, val in zip(m[x + 1 :], up[1:]):
+                    row[x] = val
         prev = a
         active = rest
 

@@ -11,12 +11,18 @@ matrices are PD).
 
 All search arithmetic runs on the scaled Gram H = corner*G, whose entries lie
 in one exact ring (see exactnum): Z for rational angles (corner = denominator)
-and Z[sqrt d] for quadratic ones (corner clears denominators).  Each class
-carries det(H) and adj(H) incrementally: extending [[H, b],[b^T, g]] gives
+and Z[sqrt d] for quadratic ones (corner clears denominators).  Every ring
+element is held in integer coordinates, an int over Z and a pair (a, b) for
+a + b*sqrt(d) over Z[sqrt d], and every ring matrix as its coordinate
+matrices, one over Z and two over Z[sqrt d].  Each class record carries det(H)
+and adj(H) incrementally: extending [[H, b],[b^T, g]] gives
 det' = g*det - b^T adj b and an adjugate assembled from adj and u = adj b in
 O(k^2) ring operations; the adjugate is symmetric, so only the entries on and
-above the diagonal are computed and each is mirrored.  With b = bscale*eps for
-a sign vector eps, the three recurring tests are exact ring comparisons:
+above the diagonal are computed and each is mirrored.  Over Z[sqrt d] the
+update runs coordinate by coordinate, and its exact division by
+det = e + f*sqrt(d) multiplies by e - f*sqrt(d) and divides by the int
+e^2 - d*f^2.  With b = bscale*eps for a sign vector eps, the three recurring
+tests are exact ring comparisons:
 
     positive definite extension:  corner*det - bscale^2 * (eps^T adj eps) > 0
     unit candidate line:          eps^T adj eps == corner*det / bscale^2
@@ -53,7 +59,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import compress, groupby, islice
 from math import isqrt, lcm
-from operator import mul
+from operator import add, mul, neg
 from typing import Sequence
 
 from equiangular import bounds
@@ -61,13 +67,13 @@ from equiangular.bounds import BoundReport
 from equiangular.exactnum import (
     QuadExt,
     Scalar,
-    components,
     format_scalar,
-    from_components,
     quad_sign,
-    ring_element,
-    ring_parts,
+    ring_sign,
     ring_to_scalar,
+    zsqrt_divide,
+    zsqrt_mul,
+    zsqrt_rows_step,
 )
 from equiangular.graphenum import attach_vertex, count_graph_classes, find_isomorphism
 from equiangular.linalg import SymMatrix
@@ -92,10 +98,12 @@ class CertificateError(AssertionError):
 
 @dataclass(frozen=True)
 class _Mode:
-    """Scaling data in the search ring: Z (d = 0) for rational alpha, else
-    Z[sqrt d]."""
+    """Scaling data in the search ring, Z (d = 0) for rational alpha, else
+    Z[sqrt d]: the int corner, and bscale and bscale_sq in integer
+    coordinates (an int over Z, a pair (a, b) for a + b*sqrt(d) over
+    Z[sqrt d], the form of every ring element of the search)."""
 
-    corner: object
+    corner: int
     bscale: object
     bscale_sq: object
     d: int = 0
@@ -109,17 +117,26 @@ def _alpha_mode(alpha: Scalar) -> _Mode:
     else:
         a, b, d = Fraction(alpha.a if isinstance(alpha, QuadExt) else alpha), Fraction(0), 0
     c = lcm(a.denominator, b.denominator)
-    bscale = ring_element((int(c * a), int(c * b)), d)
-    return _Mode(ring_element((c, 0), d), bscale, bscale * bscale, d)
+    bscale = int(c * a), int(c * b)
+    if not d:
+        return _Mode(c, bscale[0], bscale[0] ** 2)
+    return _Mode(c, bscale, zsqrt_mul(bscale, bscale, d), d)
 
 
-def _exact_quotient(num, den):
-    """num / den if it lies in the ring, else None."""
-    try:
-        q = num // den  # raises for an inexact quotient in Z[sqrt d]
-    except ArithmeticError:
-        return None
-    return q if q * den == num else None
+def _exact_quotient(num, den, d: int):
+    """num / den in integer coordinates if it lies in the ring, else None."""
+    if d:
+        try:
+            return zsqrt_divide(num, den, d)
+        except ArithmeticError:
+            return None
+    q, rem = divmod(num, den)
+    return None if rem else q
+
+
+def _corner_times(mode: _Mode, x):
+    """corner*x in integer coordinates (corner is an int in both rings)."""
+    return (mode.corner * x[0], mode.corner * x[1]) if mode.d else mode.corner * x
 
 
 # -- seed data -----------------------------------------------------------------
@@ -129,8 +146,9 @@ def _exact_quotient(num, den):
 class BasisSeed:
     """A positive-definite normalized rank-r basis.
 
-    det and adjugate refer to the scaled Gram H = corner*G, with entries in the
-    search ring of mode (int, or ZSqrt over Z[sqrt d]).
+    det and adjugate refer to the scaled Gram H = corner*G, in integer
+    coordinates: det an int over Z and a pair over Z[sqrt d], adjugate the
+    list of its coordinate matrices (one over Z, two over Z[sqrt d]).
     """
 
     r: int
@@ -162,11 +180,9 @@ class CandidateLine:
     @cached_property
     def coords(self) -> tuple[Scalar, ...]:
         """Exact coordinates in the basis, bscale * u / det (computed on first read)."""
-        mode = self.seed.mode
-        det = ring_to_scalar(self.seed.det)
-        return tuple(
-            ring_to_scalar(mode.bscale * x) / det for x in from_components(self.u, mode.d)
-        )
+        d = self.seed.mode.d
+        scale = ring_to_scalar(self.seed.mode.bscale, d) / ring_to_scalar(self.seed.det, d)
+        return tuple(scale * ring_to_scalar(x, d) for x in (zip(*self.u) if d else self.u[0]))
 
 
 @dataclass
@@ -198,36 +214,56 @@ class EnumerationResult:
 
 
 def _root_record(mode: _Mode) -> dict:
-    return {"masks": [], "det": mode.corner, "adj": [[ring_element((1, 0), mode.d)]]}
+    if not mode.d:
+        return {"masks": [], "det": mode.corner, "adj": [[1]]}
+    return {"masks": [], "det": (mode.corner, 0), "adj": [[1]], "adj_sqrt": [[0]]}
+
+
+def _adj_matrices(rec: dict) -> list:
+    """The integer coordinate matrices of a record's adjugate: adj over Z,
+    adj and adj_sqrt (the adjugate is adj + adj_sqrt*sqrt(d)) over Z[sqrt d]."""
+    return [rec["adj"], rec["adj_sqrt"]] if "adj_sqrt" in rec else [rec["adj"]]
 
 
 def _extend_record(mode: _Mode, rec: dict, nb: int, ms: list) -> dict:
     """Record of the class grown by a vertex with neighbor mask nb; ms are
-    the integer coordinate matrices of rec's adjugate (_adj_components)."""
+    the integer coordinate matrices of rec's adjugate (_adj_matrices).  With
+    su = bscale * adj@b the new adjugate is [[(det'*adj + su su^T) / det,
+    -su], [-su^T, det]]; over Z[sqrt d] zsqrt_rows_step forms it coordinate
+    by coordinate.  Only the entries on and above the diagonal are computed."""
     k = len(rec["masks"])
     n = k + 1
     masks = [m | ((nb >> i & 1) << k) for i, m in enumerate(rec["masks"])]
     masks.append(nb)
-    det, adj = rec["det"], rec["adj"]
+    det, d = rec["det"], mode.d
     quad, u = _quad_u(ms, nb)
-    det_new = mode.corner * det - mode.bscale_sq * ring_element(quad, mode.d)
-    su = [mode.bscale * x for x in from_components(u, mode.d)]
-    new_adj = [[None] * n + [-x] for x in su]
-    for i in range(n):  # the adjugate is symmetric: fill j >= i and mirror
-        row, adj_i, su_i = new_adj[i], adj[i], su[i]
-        for j in range(i, n):
-            row[j] = new_adj[j][i] = (det_new * adj_i[j] + su_i * su[j]) // det
-    new_adj.append([-x for x in su] + [det])
-    return {"masks": masks, "det": det_new, "adj": new_adj}
-
-
-def _adj_components(adj: list, d: int) -> list[list[list[int]]]:
-    """The integer coordinate matrices of a ring matrix: the matrix itself
-    over Z (d = 0), its two coordinate matrices over Z[sqrt d].  The ladder
-    splits each record once and hands the result to its scan and children."""
     if not d:
-        return [adj]
-    return [list(rows) for rows in zip(*(components(row, d) for row in adj))]
+        (adj,), (u,), (quad,) = ms, u, quad
+        det_new = mode.corner * det - mode.bscale_sq * quad
+        su = [mode.bscale * x for x in u]
+        new_adj = [[None] * n + [-x] for x in su]
+        for i in range(n):  # the adjugate is symmetric: fill j >= i and mirror
+            row, adj_i, su_i = new_adj[i], adj[i], su[i]
+            for j in range(i, n):
+                row[j] = new_adj[j][i] = (det_new * adj_i[j] + su_i * su[j]) // det
+        new_adj.append([-x for x in su] + [det])
+        return {"masks": masks, "det": det_new, "adj": new_adj}
+    (ta, tb), (qa, qb) = _corner_times(mode, det), zsqrt_mul(mode.bscale_sq, quad, d)
+    det_new = ta - qa, tb - qb
+    (ba, bb), (ua, ub), (a, b) = mode.bscale, u, ms
+    sa = [ba * x + d * bb * y for x, y in zip(ua, ub)]
+    sb = [ba * y + bb * x for x, y in zip(ua, ub)]
+    new_a, new_b = [[None] * n + [-x] for x in sa], [[None] * n + [-x] for x in sb]
+    for i in range(n):  # as over Z, one zsqrt_rows_step per row from column i on
+        ra, rb = zsqrt_rows_step(
+            det_new, (-sa[i], -sb[i]), det, (a[i][i:], b[i][i:]), (sa[i:], sb[i:]), d
+        )
+        for j, va, vb in zip(range(i, n), ra, rb):
+            new_a[i][j] = new_a[j][i] = va
+            new_b[i][j] = new_b[j][i] = vb
+    new_a.append([-x for x in sa] + [det[0]])
+    new_b.append([-x for x in sb] + [det[1]])
+    return {"masks": masks, "det": det_new, "adj": new_a, "adj_sqrt": new_b}
 
 
 @cache
@@ -326,9 +362,12 @@ def _sign_vector(mask: int, n: int) -> tuple[int, ...]:
 
 def _pd_values(mode: _Mode, det, scan: _SignScan) -> list:
     """P(b) = corner*det - bscale^2 * b^T adj b for every sign vector b in
-    Gray order, as ring elements: the scaled det of the child of b."""
-    thresh, bsq, d = mode.corner * det, mode.bscale_sq, mode.d
-    return [thresh - bsq * ring_element(quad, d) for quad in zip(*scan.quads())]
+    Gray order, in integer coordinates: the scaled det of the child of b."""
+    quads, thresh, d = scan.quads(), _corner_times(mode, det), mode.d
+    if not d:
+        return [thresh - mode.bscale_sq * q for q in quads[0]]
+    (ta, tb), (s, t) = thresh, mode.bscale_sq
+    return [(ta - s * qa - d * t * qb, tb - s * qb - t * qa) for qa, qb in zip(*quads)]
 
 
 def _pd_neighbor_masks(mode: _Mode, rec: dict, scan: _SignScan, pvals=None) -> list[int]:
@@ -340,7 +379,8 @@ def _pd_neighbor_masks(mode: _Mode, rec: dict, scan: _SignScan, pvals=None) -> l
     # over Z[sqrt d] the sign test needs both coordinates of P(b)
     if pvals is None:
         pvals = _pd_values(mode, rec["det"], scan)
-    return [nb for nb, p in zip(_gray_masks(scan.n), pvals) if quad_sign(p) > 0]
+    d = mode.d
+    return [nb for nb, p in zip(_gray_masks(scan.n), pvals) if ring_sign(p, d) > 0]
 
 
 def _pd_children(mode: _Mode, level: list[dict]):
@@ -350,7 +390,7 @@ def _pd_children(mode: _Mode, level: list[dict]):
     children and for every child that starts a class; over Z[sqrt d] the P
     values of the PD test come along, over Z they are left to the caller."""
     for rec in level:
-        scan = _SignScan(_adj_components(rec["adj"], mode.d))
+        scan = _SignScan(_adj_matrices(rec))
         pvals = _pd_values(mode, rec["det"], scan) if mode.d else None
         yield rec["masks"], _pd_neighbor_masks(mode, rec, scan, pvals), (scan, rec, pvals)
 
@@ -384,11 +424,10 @@ def seed_for_graph(r: int, alpha: Scalar, graph: Graph) -> BasisSeed:
     mode = _alpha_mode(alpha)
     rec = _root_record(mode)
     for k, row in enumerate(graph.adj):
-        ms = _adj_components(rec["adj"], mode.d)
-        rec = _extend_record(mode, rec, row & ((1 << k) - 1), ms)
-        if quad_sign(rec["det"]) <= 0:
+        rec = _extend_record(mode, rec, row & ((1 << k) - 1), _adj_matrices(rec))
+        if ring_sign(rec["det"], mode.d) <= 0:
             raise CertificateError("the basis Gram is not positive definite")
-    return BasisSeed(r, alpha, graph, mode, rec["det"], rec["adj"])
+    return BasisSeed(r, alpha, graph, mode, rec["det"], _adj_matrices(rec))
 
 
 def enumerate_pd_bases(
@@ -403,7 +442,7 @@ def enumerate_pd_bases(
         count_scanned = r - 1 <= 7
     mode = _alpha_mode(alpha)
     seeds = [
-        BasisSeed(r, alpha, Graph(r - 1, tuple(rec["masks"])), mode, rec["det"], rec["adj"])
+        BasisSeed(r, alpha, Graph(r - 1, tuple(rec["masks"])), mode, rec["det"], _adj_matrices(rec))
         for rec in _pd_ladder(mode, r - 1)
     ]
     scanned = count_graph_classes(r - 1) if count_scanned else None
@@ -416,12 +455,13 @@ def enumerate_pd_bases(
 def _candidate_data_raw(mode: _Mode, det, adj, r: int):
     """(eps, u = adjugate @ eps in integer coordinates) for every unit
     candidate line, testing the 2^(r-1) sign vectors (root sign fixed +1) at
-    once; u is computed for the candidates only."""
-    target = _exact_quotient(mode.corner * det, mode.bscale_sq)
+    once; adj is the list of coordinate matrices of the adjugate, and u is
+    computed for the candidates only."""
+    target = _exact_quotient(_corner_times(mode, det), mode.bscale_sq, mode.d)
     if target is None:
         return []
-    scan = _SignScan(_adj_components(adj, mode.d))
-    signs = [_sign_vector(nb, r) for nb in scan.masks(scan.equal(ring_parts(target, mode.d)))]
+    scan = _SignScan(adj)
+    signs = [_sign_vector(nb, r) for nb in scan.masks(scan.equal(target if mode.d else [target]))]
     return [(eps, [[sum(map(mul, row, eps)) for row in m] for m in scan.ms]) for eps in signs]
 
 
@@ -435,8 +475,8 @@ def candidates(seed: BasisSeed) -> CandidateSet:
 def _compat_target(mode: _Mode, det) -> list[int] | None:
     """det / bscale in integer coordinates, or None if it is not in the ring
     (then no candidate pair is compatible)."""
-    t = _exact_quotient(det, mode.bscale)
-    return None if t is None else list(ring_parts(t, mode.d))
+    t = _exact_quotient(det, mode.bscale, mode.d)
+    return None if t is None else list(t) if mode.d else [t]
 
 
 def _pair_sign(seed: BasisSeed, u_i, eps_j) -> int:
@@ -528,13 +568,25 @@ def _square_key(x, d: int) -> int:
     """An int with key(x)*key(y) a perfect square whenever x*y is a square
     in the ring: x itself over Z, the norm a^2 - d*b^2 over Z[sqrt d] (the
     norm is multiplicative)."""
-    return x.a * x.a - d * x.b * x.b if d else x
+    return x[0] * x[0] - d * x[1] * x[1] if d else x
 
 
 @cache
 def _sign_vectors(n: int) -> tuple[tuple[int, ...], ...]:
     """The sign vectors of length n with b[0] = +1, in Gray order."""
     return tuple(_sign_vector(mask, n) for mask in _gray_masks(n))
+
+
+def _ring_ops(d: int):
+    """(mul, add, neg) on ring elements in integer coordinates: the int
+    operators over Z, pair arithmetic over Z[sqrt d]."""
+    if not d:
+        return mul, add, neg
+    return (
+        lambda x, y: zsqrt_mul(x, y, d),
+        lambda x, y: (x[0] + y[0], x[1] + y[1]),
+        lambda x: (-x[0], -x[1]),
+    )
 
 
 def _children_totals(mode: _Mode, det, ms: list, pvals: list, nbs: list[int], r: int) -> list[int]:
@@ -544,11 +596,20 @@ def _children_totals(mode: _Mode, det, ms: list, pvals: list, nbs: list[int], r:
     the eps with P(eps) >= 0 whose square key times that of P(beta) is a
     perfect square are tested, one test per distinct value P(eps)."""
     d, bscale, bsq = mode.d, mode.bscale, mode.bscale_sq
+    rmul, radd, rneg = _ring_ops(d)
+
+    def dot(vs, eps):  # the ring element (A v) . eps from the coordinates vs of A v
+        parts = [sum(map(mul, v, eps)) for v in vs]
+        return tuple(parts) if d else parts[0]
+
     n = len(ms[0])
     by_value: dict = {}  # P(eps) -> the sign vectors eps with that value
     for eps, p in zip(_sign_vectors(n), pvals):
         by_value.setdefault(p, []).append(eps)
-    members = [(p, _square_key(p, d), vectors) for p, vectors in by_value.items() if quad_sign(p) >= 0]
+    members = [
+        (p, _square_key(p, d), vectors) for p, vectors in by_value.items() if ring_sign(p, d) >= 0
+    ]
+    dets = (rneg(det), det)  # x = L - s*det for s = +1, -1
     totals = []
     for nb in nbs:
         pb = pvals[_gray_index(nb)]
@@ -562,24 +623,24 @@ def _children_totals(mode: _Mode, det, ms: list, pvals: list, nbs: list[int], r:
             if ab is None:
                 beta = _sign_vector(nb, n)
                 ab = [[sum(map(mul, row, beta)) for row in m] for m in ms]
-            pp = pb * pe
+            pp = rmul(pb, pe)
             for eps in vectors:
-                lin = bscale * ring_element([sum(map(mul, u, eps)) for u in ab], d)
-                for x in (lin - det, lin + det):
-                    if bsq * x * x == pp:
+                lin = rmul(bscale, dot(ab, eps))
+                for s_det in dets:
+                    x = radd(lin, s_det)
+                    if rmul(bsq, rmul(x, x)) == pp:
                         found.append((eps, x))
         nc = len(found)
         if nc <= 1:
             totals.append(r + nc)
             continue
-        target, adj = det * pb, [0] * nc
+        target, adj = rmul(det, pb), [0] * nc
+        targets = (target, rneg(target))
         for i, (ei, xi) in enumerate(found):
             aei = [[sum(map(mul, row, ei)) for row in m] for m in ms]
             for j in range(i + 1, nc):
                 ej, xj = found[j]
-                dot = ring_element([sum(map(mul, u, ej)) for u in aei], d)
-                v = bscale * (pb * dot + xi * xj)
-                if v == target or v == -target:
+                if rmul(bscale, radd(rmul(pb, dot(aei, ej)), rmul(xi, xj))) in targets:
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
         totals.append(r + _clique_number(adj, nc))

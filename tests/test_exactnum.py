@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -13,19 +14,19 @@ from equiangular.exactnum import (
     IntPoly,
     QuadExt,
     ZSqrt,
-    components,
-    from_components,
     format_scalar,
     parse_scalar,
     poly_eval,
     poly_mul,
     poly_pow,
     quad_sign,
-    ring_element,
-    ring_parts,
+    ring_sign,
     ring_to_scalar,
     scalar_floor,
     squarefree_decomposition,
+    zsqrt_divide,
+    zsqrt_mul,
+    zsqrt_rows_step,
 )
 
 
@@ -174,22 +175,26 @@ def zs(d):
     return st.builds(ZSqrt, small, small, st.just(d))
 
 
+def _q(z, d):
+    """A ZSqrt as a QuadExt, through its integer coordinates."""
+    return ring_to_scalar((z.a, z.b), d)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data(), radicands)
 def test_zsqrt_ring_operations_match_quadext(data, d):
+    """The ZSqrt operations kept for elimination code (- * // == and truth)
+    and the pair product zsqrt_mul agree with QuadExt."""
     x, y = data.draw(zs(d)), data.draw(zs(d))
     k = data.draw(small)
-    q = ring_to_scalar
-    assert q(x + y) == q(x) + q(y)
-    assert q(x - y) == q(x) - q(y)
-    assert q(x * y) == q(x) * q(y)
-    assert q(-x) == -q(x)
-    assert q(x * k) == q(k * x) == q(x) * k
-    assert q(x + k) == q(k + x) == q(x) + k
-    assert q(k - x) == k - q(x)
-    assert (x == y) == (q(x) == q(y))
-    assert bool(x) == bool(q(x))
-    assert (x == k) == (q(x) == k)
+    assert _q(x - y, d) == _q(x, d) - _q(y, d)
+    assert _q(x * y, d) == _q(x, d) * _q(y, d)
+    assert _q(x * k, d) == _q(x, d) * k
+    assert _q(x - k, d) == _q(x, d) - k
+    assert ring_to_scalar(zsqrt_mul((x.a, x.b), (y.a, y.b), d), d) == _q(x, d) * _q(y, d)
+    assert (x == y) == (_q(x, d) == _q(y, d))
+    assert bool(x) == bool(_q(x, d))
+    assert (x == k) == (_q(x, d) == k)
 
 
 @settings(max_examples=300, deadline=None)
@@ -199,12 +204,15 @@ def test_zsqrt_exact_division(data, d):
     k = data.draw(small.filter(bool))
     if y:
         assert (x * y) // y == x
-        quotient = ring_to_scalar(x) / ring_to_scalar(y)
+        assert zsqrt_divide(((x * y).a, (x * y).b), (y.a, y.b), d) == (x.a, x.b)
+        quotient = _q(x, d) / _q(y, d)
         if quotient.a.denominator == 1 and quotient.b.denominator == 1:
-            assert ring_to_scalar(x // y) == quotient
+            assert _q(x // y, d) == quotient
         else:
             with pytest.raises(ArithmeticError):
                 x // y
+            with pytest.raises(ArithmeticError):
+                zsqrt_divide((x.a, x.b), (y.a, y.b), d)
     else:
         with pytest.raises(ZeroDivisionError):
             x // y
@@ -217,20 +225,60 @@ def test_zsqrt_exact_division(data, d):
 @settings(max_examples=500, deadline=None)
 @given(st.data(), radicands)
 def test_zsqrt_sign_matches_quadext(data, d):
+    """ring_sign on coordinate pairs against QuadExt and against a float:
+    with |a|, |b| <= 10^6 a nonzero a + b*sqrt(d) is at least 10^-7 away
+    from 0, far above the float error."""
     x = data.draw(zs(d))
-    assert x.sign() == quad_sign(x) == ring_to_scalar(x).sign()
-    assert quad_sign(-x) == -quad_sign(x)
+    pair = (x.a, x.b)
+    value = x.a + x.b * math.sqrt(d)
+    assert ring_sign(pair, d) == _q(x, d).sign() == (value > 0) - (value < 0)
+    assert ring_sign((-x.a, -x.b), d) == -ring_sign(pair, d)
+    assert ring_sign(x.a, 0) == (x.a > 0) - (x.a < 0)
 
 
 def test_ring_coordinates_round_trip():
-    xs = [ZSqrt(1, -2, 17), ZSqrt(0, 3, 17), ZSqrt(-4, 0, 17)]
-    comps = components(xs, 17)
-    assert comps == [[1, 0, -4], [-2, 3, 0]]
-    assert from_components(comps, 17) == xs
-    assert components([3, -1], 0) == [[3, -1]]
-    assert from_components([[3, -1]], 0) == [3, -1]
-    assert ring_element(ring_parts(xs[0], 17), 17) == xs[0]
-    assert ring_element((5, 0), 0) == 5 and ring_parts(5, 0) == (5,)
+    """Integer coordinates to exact scalars and back: a pair (a, b) over
+    Z[sqrt d], an int over Z."""
+    for pair in [(1, -2), (0, 3), (-4, 0)]:
+        x = ring_to_scalar(pair, 17)
+        assert isinstance(x, QuadExt) and (x.a, x.b, x.d) == (*pair, 17)
+    assert ring_to_scalar(5, 0) == Fraction(5) and ring_to_scalar(-3, 0).denominator == 1
+
+
+def _zsqrt_rows(draw, d, k):
+    return [ZSqrt(draw(small), draw(small), d) for _ in range(k)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([2, 5, 13, 17]))
+def test_rows_step_matches_zsqrt_entries(data, d):
+    """zsqrt_rows_step gives (p*x_j - c*y_j) // q entry by entry as ZSqrt
+    computes it, for exact quotients (q divides p and c, or the rows are
+    multiples of q), and raises ArithmeticError for an inexact one."""
+    k = data.draw(st.integers(0, 6))
+    draw = data.draw
+    q = ZSqrt(draw(small.filter(bool)), draw(small), d)
+    p, c = (ZSqrt(draw(small), draw(small), d) for _ in range(2))
+    xs, ys = _zsqrt_rows(draw, d, k), _zsqrt_rows(draw, d, k)
+    if draw(st.booleans()):
+        p, c = p * q, c * q
+    else:
+        xs, ys = [x * q for x in xs], [y * q for y in ys]
+
+    def coords(zs_):
+        return [z.a for z in zs_], [z.b for z in zs_]
+
+    def pair(z):
+        return z.a, z.b
+
+    want = coords([(p * x - c * y) // q for x, y in zip(xs, ys)])
+    assert zsqrt_rows_step(pair(p), pair(c), pair(q), coords(xs), coords(ys), d) == want
+    if k and q.a * q.a - d * q.b * q.b not in (1, -1):
+        # x_0 = q*z + 1 is not divisible by q, which is not a unit
+        xa, xb = coords([z * q for z in _zsqrt_rows(draw, d, k)])
+        xa[0] += 1
+        with pytest.raises(ArithmeticError):
+            zsqrt_rows_step((1, 0), (0, 0), pair(q), (xa, xb), coords(ys), d)
 
 
 def test_inexact_division_raises_under_optimize():

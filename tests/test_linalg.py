@@ -11,6 +11,7 @@ from equiangular.linalg import (
     INDEFINITE,
     POSITIVE_DEFINITE,
     POSITIVE_SEMIDEFINITE_SINGULAR,
+    PsdCertificate,
     SymMatrix,
     aI_bJ_inverse,
     char_poly,
@@ -194,6 +195,101 @@ def test_quadratic_psd_verdict_matches_principal_minor_oracle(d):
             )
             assert quad_sign(val) < 0
     assert all(counts.values()), counts  # every verdict exercised
+
+
+def _zsqrt_scalar(x):
+    return QuadExt(x.a, x.b, x.d) if isinstance(x, ZSqrt) else Fraction(x)
+
+
+def _zsqrt_psd_reference(m):
+    """psd_check as it ran on ZSqrt entries, in place on the full matrix:
+    the oracle of the coordinate elimination.  Same pivot rule, same
+    witness construction; the indefinite rank comes from rank_of."""
+    rows, _ = m.integral_scaled()
+    n = m.n
+    active, steps, prev = list(range(n)), [], 1
+
+    def sign(x):
+        return quad_sign(_zsqrt_scalar(x))
+
+    def back(witness):
+        for pivot, val, column in reversed(steps):
+            acc = sum(
+                (_zsqrt_scalar(b) * witness[j] for j, b in column.items() if witness.get(j)),
+                Fraction(0),
+            )
+            witness[pivot] = -acc / _zsqrt_scalar(val)
+        return tuple(witness.get(k, Fraction(0)) for k in range(n))
+
+    while active:
+        pivot = next((p for p in active if sign(rows[p][p]) > 0), None)
+        if pivot is None:
+            neg = next((p for p in active if sign(rows[p][p]) < 0), None)
+            if neg is not None:
+                return PsdCertificate(INDEFINITE, rank_of(m), witness=back({neg: Fraction(1)}))
+            pairs = [
+                (i, j) for x, i in enumerate(active) for j in active[x + 1 :] if sign(rows[i][j])
+            ]
+            if not pairs:
+                order = tuple(s[0] for s in steps)
+                return PsdCertificate(POSITIVE_SEMIDEFINITE_SINGULAR, len(steps), pivot_order=order)
+            i, j = pairs[0]
+            witness = back({i: Fraction(1), j: Fraction(-sign(rows[i][j]))})
+            return PsdCertificate(INDEFINITE, rank_of(m), witness=witness)
+        a = rows[pivot][pivot]
+        rest = [j for j in active if j != pivot]
+        steps.append((pivot, a, {j: rows[pivot][j] for j in rest}))
+        for x, i in enumerate(rest):
+            rpi = rows[i][pivot]
+            for j in rest[x:]:
+                rows[i][j] = rows[j][i] = (a * rows[i][j] - rpi * rows[pivot][j]) // prev
+        prev = a
+        active = rest
+    return PsdCertificate(POSITIVE_DEFINITE, n, pivot_order=tuple(s[0] for s in steps))
+
+
+@st.composite
+def _quadratic_matrices(draw):
+    """Symmetric matrices over Q(sqrt d) of order up to 18: Grams B^T B of
+    n + 1 (PD) or fewer than n (singular) random vectors, such a Gram minus
+    a rank-one term (indefinite), or I + S/sqrt(d) for a random sign
+    pattern S.  Coordinates are small ints over a common denominator."""
+    d = draw(st.sampled_from([2, 5, 13, 17]))
+    n = draw(st.integers(1, 18))
+    kind = draw(st.sampled_from(["pd", "singular", "indefinite", "seidel"]))
+    if kind == "seidel":
+        alpha = QuadExt(0, Fraction(1, d), d)
+        rows = [[QuadExt(1, 0, d)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = alpha * draw(st.sampled_from([1, -1]))
+        return SymMatrix(rows)
+    k = n + 1 if kind == "pd" else draw(st.integers(1, max(1, n - 1)))
+    coord = st.integers(-3, 3)
+    vecs = [[(draw(coord), draw(coord)) for _ in range(k)] for _ in range(n)]
+
+    def dot(u, v):
+        return (sum(a * c + d * b * e for (a, b), (c, e) in zip(u, v)),
+                sum(a * e + b * c for (a, b), (c, e) in zip(u, v)))
+
+    gram = [[dot(u, v) for v in vecs] for u in vecs]
+    if kind == "indefinite":
+        w = [(draw(coord), draw(coord)) for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                wij = dot([w[i]], [w[j]])
+                gram[i][j] = (gram[i][j][0] - 3 * wij[0], gram[i][j][1] - 3 * wij[1])
+    den = draw(st.sampled_from([1, 2, 6]))
+    return SymMatrix([[QuadExt(Fraction(a, den), Fraction(b, den), d) for a, b in r] for r in gram])
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_quadratic_matrices())
+def test_quadratic_psd_certificate_matches_a_zsqrt_reference(m):
+    """Over Q(sqrt d) psd_check eliminates on integer coordinate pairs; its
+    certificate (verdict, rank, pivot order, witness) equals that of the
+    ZSqrt elimination, for orders up to 18."""
+    assert psd_check(m) == _zsqrt_psd_reference(m)
 
 
 def test_paley17_gram_certificate_pinned():

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
 from operator import mul
 
@@ -12,13 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiangular.exactnum import QuadExt, ZSqrt, parse_scalar, quad_sign
+from equiangular.exactnum import QuadExt, ZSqrt, parse_scalar, quad_sign, ring_to_scalar
 from equiangular.graphenum import count_graph_classes
 from equiangular.linalg import psd_check
 from equiangular.saturate import (
     CertificateError,
     _SignScan,
-    _adj_components,
+    _adj_matrices,
     _alpha_mode,
     _candidate_data_raw,
     _children_totals,
@@ -27,6 +28,7 @@ from equiangular.saturate import (
     _pd_ladder,
     _pd_neighbor_masks,
     _pd_values,
+    _root_record,
     _sign_vector,
     _square_key,
     candidates,
@@ -349,10 +351,9 @@ def test_packed_scan_over_a_quadratic_ring(pair, data):
     d = 17
     a, b = pair
     n = len(a)
-    adj = [[ZSqrt(x, y, d) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
     walk_a, walk_b = _direct_walk(a, None, None), _direct_walk(b, None, None)
     quads = [(qa[0], qb[0]) for (_, qa, _), (_, qb, _) in zip(walk_a, walk_b)]
-    assert _adj_components(adj, d) == [a, b]
+    assert _adj_matrices({"adj": a, "adj_sqrt": b}) == [a, b]
     scan = _SignScan([a, b])
     assert scan.quads() == [list(col) for col in zip(*quads)]
     g = data.draw(st.integers(0, len(quads) - 1))
@@ -361,18 +362,21 @@ def test_packed_scan_over_a_quadratic_ring(pair, data):
     assert scan.masks(scan.equal([ta, tb])) == [walk_a[i][0] for i in hits]
     # 1/sqrt(17) has corner = bscale^2 = 17, so the unit target is det itself
     mode = _alpha_mode(parse_scalar("1/sqrt(17)"))
-    cands = _candidate_data_raw(mode, ZSqrt(ta, tb, d), adj, n)
+    cands = _candidate_data_raw(mode, (ta, tb), [a, b], n)
     assert cands == [
         (_sign_vector(walk_a[i][0], n), [walk_a[i][2][0], walk_b[i][2][0]]) for i in hits
     ]
-    det = ZSqrt(ta + data.draw(st.integers(-2, 2)), tb + data.draw(st.integers(-2, 2)), d)
-    thresh = mode.corner * det
+    det = (ta + data.draw(st.integers(-2, 2)), tb + data.draw(st.integers(-2, 2)))
+    # the expected PD children by QuadExt arithmetic on the same values
+    thresh = mode.corner * ring_to_scalar(det, d)
+    bsq = ring_to_scalar(mode.bscale_sq, d)
     want = [
         walk_a[i][0]
         for i, q in enumerate(quads)
-        if quad_sign(thresh - mode.bscale_sq * ZSqrt(*q, d)) > 0
+        if quad_sign(thresh - bsq * ring_to_scalar(q, d)) > 0
     ]
-    assert _pd_neighbor_masks(mode, {"adj": adj, "det": det}, _SignScan([a, b])) == want
+    rec = {"adj": a, "adj_sqrt": b, "det": det}
+    assert _pd_neighbor_masks(mode, rec, _SignScan([a, b])) == want
 
 
 def test_a_wrong_realized_set_fails_re_certification(monkeypatch):
@@ -392,51 +396,120 @@ def test_a_wrong_realized_set_fails_re_certification(monkeypatch):
 def test_ladder_adjugates_are_exact(alpha):
     """Every record of the ladder carries a symmetric adjugate with
     adj(H) H = det(H) I, checked in the ring, for the scaled Gram H of the
-    rooted basis (corner on the diagonal, +-bscale off it)."""
+    rooted basis (corner on the diagonal, +-bscale off it).  Over Z[sqrt d]
+    the record holds the coordinate matrices of adj = A + B*sqrt(d) and
+    det = (e, f); the products are formed here on the coordinates."""
     mode = _alpha_mode(parse_scalar(alpha))
+    d = mode.d
     records = _pd_ladder(mode, 6)
     assert records
     for rec in records:
-        masks, adj, det = rec["masks"], rec["adj"], rec["det"]
+        masks, det = rec["masks"], rec["det"]
+        a, b = rec["adj"], rec.get("adj_sqrt")
         n = len(masks) + 1
+        assert len(a) == n and (b is None) == (d == 0)
+        if not d:
+            b, det = [[0] * n for _ in range(n)], (det, 0)
+        corner = (mode.corner, 0)
+        bscale = mode.bscale if d else (mode.bscale, 0)
         h = [
             [
-                mode.corner if i == j
-                else -mode.bscale if i and j and masks[i - 1] >> (j - 1) & 1
-                else mode.bscale
+                corner if i == j
+                else (-bscale[0], -bscale[1]) if i and j and masks[i - 1] >> (j - 1) & 1
+                else bscale
                 for j in range(n)
             ]
             for i in range(n)
         ]
-        assert all(adj[i][j] == adj[j][i] for i in range(n) for j in range(i))
+        assert all(m[i][j] == m[j][i] for m in (a, b) for i in range(n) for j in range(i))
         for i in range(n):
             for j in range(n):
-                entry = sum((adj[i][t] * h[t][j] for t in range(n)), 0)
-                assert entry == (det if i == j else 0), (rec["masks"], i, j)
+                entry = (
+                    sum(a[i][t] * h[t][j][0] + d * b[i][t] * h[t][j][1] for t in range(n)),
+                    sum(a[i][t] * h[t][j][1] + b[i][t] * h[t][j][0] for t in range(n)),
+                )
+                assert entry == (det if i == j else (0, 0)), (rec["masks"], i, j)
+
+
+def _zsqrt_add(x, y):
+    return x - y * -1
+
+
+def _zsqrt_extended(corner, bscale, det, adj, nb):
+    """The record update as it ran on ZSqrt entries, the oracle of the
+    coordinate form: with b the sign vector of nb, u = adj b and
+    su = bscale*u, det' = corner*det - bscale^2 * b^T u and
+    adj' = [[(det'*adj + su su^T) // det, -su], [-su^T, det]]."""
+    n, zero = len(adj), ZSqrt(0, 0, det.d)
+    b = [1] + [-1 if nb >> i & 1 else 1 for i in range(n - 1)]
+    u = [reduce(_zsqrt_add, (x * s for x, s in zip(row, b)), zero) for row in adj]
+    quad = reduce(_zsqrt_add, (x * s for x, s in zip(u, b)), zero)
+    det_new = corner * det - bscale * bscale * quad
+    su = [bscale * x for x in u]
+    new = [
+        [_zsqrt_add(det_new * adj[i][j], su[i] * su[j]) // det for j in range(n)] + [zero - su[i]]
+        for i in range(n)
+    ]
+    new.append([zero - x for x in su] + [det])
+    return det_new, new
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 5, 13, 17]),
+    general=st.booleans(),
+    nbs=st.lists(st.integers(0, 2**12 - 1), min_size=1, max_size=12),
+)
+def test_coordinate_record_update_matches_the_zsqrt_update(d, general, nbs):
+    """Along a random PD ladder, _extend_record on integer coordinates gives
+    the det and adjugate of the ZSqrt formula it replaced, for alpha =
+    1/sqrt(d) and for (sqrt(d) - 1)/(d + 1), whose bscale has two nonzero
+    coordinates."""
+    if general:
+        alpha = QuadExt(Fraction(-1, d + 1), Fraction(1, d + 1), d)
+    else:
+        alpha = QuadExt(0, Fraction(1, d), d)
+    mode = _alpha_mode(alpha)
+    corner, bscale = ZSqrt(mode.corner, 0, d), ZSqrt(*mode.bscale, d)
+    assert bscale * bscale == ZSqrt(*mode.bscale_sq, d)
+    rec = _root_record(mode)
+    det, adj = corner, [[ZSqrt(1, 0, d)]]
+    for k, nb in enumerate(nbs):
+        nb &= (1 << k) - 1
+        rec = _extend_record(mode, rec, nb, _adj_matrices(rec))
+        det, adj = _zsqrt_extended(corner, bscale, det, adj, nb)
+        assert rec["det"] == (det.a, det.b)
+        assert _adj_matrices(rec) == [[[x.a for x in row] for row in adj],
+                                      [[x.b for x in row] for row in adj]]
+        if quad_sign(ring_to_scalar(rec["det"], d)) <= 0:
+            break
 
 
 def test_search_and_psd_checks_run_under_optimize():
     """Under python -O the saturation search still gives its pinned results
-    (the re-certification of maximizing seeds included), and an indefinite
-    Gram still raises."""
+    (the re-certification of maximizing seeds included), over Z and over
+    Z[sqrt 13], and an indefinite Gram still raises, over Q and Q(sqrt 17)."""
     import equiangular
 
     code = """
 import json, sys
 from fractions import Fraction
+from equiangular.exactnum import parse_scalar
 from equiangular.saturate import m_alpha
 from equiangular.seidel import EquiangularSet, SeidelMatrix
 assert False, "assert statements must be stripped"
 out = {}
-for q in (3, 5):
-    rep = m_alpha(8, Fraction(1, q))
-    out[q] = [rep.value, rep.certificate["seeds"], rep.certificate["totals_histogram"]]
-five = SeidelMatrix(tuple(tuple(0 if i == j else -1 for j in range(5)) for i in range(5)))
-try:
-    EquiangularSet(Fraction(1, 3), five)  # I + A/3 has eigenvalue -1/3
-    out["indefinite"] = "accepted"
-except ValueError as exc:
-    out["indefinite"] = str(exc)
+for r, alpha in ((8, "1/3"), (8, "1/5"), (7, "1/sqrt(13)")):
+    rep = m_alpha(r, parse_scalar(alpha))
+    out[alpha] = [rep.value, rep.certificate["seeds"], rep.certificate["totals_histogram"]]
+for n, alpha in ((5, "1/3"), (6, "1/sqrt(17)")):
+    # I + A*alpha with A = I - J has the eigenvalue 1 - (n - 1)*alpha < 0
+    minus = SeidelMatrix(tuple(tuple(0 if i == j else -1 for j in range(n)) for i in range(n)))
+    try:
+        EquiangularSet(parse_scalar(alpha), minus)
+        out["indefinite " + alpha] = "accepted"
+    except ValueError as exc:
+        out["indefinite " + alpha] = str(exc)
 print(json.dumps([sys.flags.optimize, out]))
 """
     root = os.path.dirname(equiangular.__path__[0])
@@ -447,15 +520,17 @@ print(json.dumps([sys.flags.optimize, out]))
     assert proc.returncode == 0, proc.stderr
     optimize, out = json.loads(proc.stdout)
     assert optimize == 1
-    assert out["3"] == [14, 3, {"8": 1, "14": 2}]
-    assert out["5"] == [10, 924, {"8": 627, "9": 264, "10": 33}]
-    assert "not positive semidefinite" in out["indefinite"]
+    assert out["1/3"] == [14, 3, {"8": 1, "14": 2}]
+    assert out["1/5"] == [10, 924, {"8": 627, "9": 264, "10": 33}]
+    assert out["1/sqrt(13)"] == [14, 75, {"7": 43, "8": 4, "14": 28}]
+    assert "not positive semidefinite" in out["indefinite 1/3"]
+    assert "not positive semidefinite" in out["indefinite 1/sqrt(17)"]
 
 
 def _record_total(mode, rec, r):
     """The saturation total of a class record by its own scan, compatibility
     graph and clique search."""
-    data = _candidate_data_raw(mode, rec["det"], rec["adj"], r)
+    data = _candidate_data_raw(mode, rec["det"], _adj_matrices(rec), r)
     if not data:
         return r
     return r + _clique_number(_compat_adj_raw(mode, rec["det"], data, r), len(data))
@@ -473,13 +548,13 @@ def test_children_totals_match_the_record_path(r, alpha, children, zeros):
     mode = _alpha_mode(parse_scalar(alpha))
     seen = zero_members = 0
     for rec in _pd_ladder(mode, r - 2):
-        scan = _SignScan(_adj_components(rec["adj"], mode.d))
+        scan = _SignScan(_adj_matrices(rec))
         pvals = _pd_values(mode, rec["det"], scan)
         nbs = _pd_neighbor_masks(mode, rec, scan, pvals)
         want = [_record_total(mode, _extend_record(mode, rec, nb, scan.ms), r) for nb in nbs]
         assert _children_totals(mode, rec["det"], scan.ms, pvals, nbs, r) == want
         seen += len(nbs)
-        zero_members += sum(not p for p in pvals)
+        zero_members += sum(p in (0, (0, 0)) for p in pvals)  # an int over Z, a pair over Z[sqrt d]
     assert (seen, zero_members) == (children, zeros)
 
 
@@ -517,7 +592,7 @@ def test_square_keys_of_a_square_product(d, data):
     x = m * a * a * unit
     y = m * bscale * bscale * c * c * inv
     assert x * y == bscale * bscale * (m * a * c) * (m * a * c)
-    kx, ky = _square_key(x, d), _square_key(y, d)
+    kx, ky = (_square_key((z.a, z.b), d) if d else _square_key(z, d) for z in (x, y))
     prod = kx * ky
     assert prod >= 0 and isqrt(prod) ** 2 == prod
 
@@ -620,3 +695,128 @@ def test_rank8_matches_a_brute_force_over_the_graph_atlas(q):
         assert sum(nx.is_isomorphic(graph, w) for w in winners) == 1
     if q == 5:
         assert hist == {8: 627, 9: 264, 10: 33}  # 924 classes
+
+
+# -- a Z[sqrt q] oracle: pairs (a, b) = a + b*sqrt(q), written out here ----------
+
+
+def _pair_mul(x, y, q):
+    return x[0] * y[0] + q * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _pair_div(x, y, q):
+    """The exact quotient x / y in Z[sqrt q]; fails the test if inexact."""
+    norm = y[0] * y[0] - q * y[1] * y[1]
+    a, ra = divmod(x[0] * y[0] - q * x[1] * y[1], norm)
+    b, rb = divmod(x[1] * y[0] - x[0] * y[1], norm)
+    assert ra == rb == 0, "inexact fraction-free division"
+    return a, b
+
+
+def _pair_positive(x, q):
+    """a + b*sqrt(q) > 0, decided on the ints a^2 and q*b^2."""
+    a, b = x
+    if a >= 0 and b >= 0:
+        return a > 0 or b > 0
+    if a <= 0 and b <= 0:
+        return False
+    return a * a > q * b * b if a > 0 else q * b * b > a * a
+
+
+def _pair_bareiss_adjugate(h, q):
+    """(det, adjugate) of h over Z[sqrt q] by fraction-free Gauss-Jordan
+    elimination on [h | I], or None unless every pivot (the leading
+    principal minors) is positive."""
+    n = len(h)
+    m = [list(row) + [(int(i == j), 0) for j in range(n)] for i, row in enumerate(h)]
+    prev = (1, 0)
+    for k in range(n):
+        piv = m[k][k]
+        if not _pair_positive(piv, q):
+            return None
+        for i in range(n):
+            if i != k:
+                mik = m[i][k]
+                m[i] = [
+                    _pair_div(
+                        tuple(u - v for u, v in zip(_pair_mul(piv, x, q), _pair_mul(mik, y, q))),
+                        prev, q,
+                    )
+                    for x, y in zip(m[i], m[k])
+                ]
+        prev = piv
+    return prev, [row[n:] for row in m]
+
+
+def _pair_dot(u, eps):
+    return sum(x[0] * e for x, e in zip(u, eps)), sum(x[1] * e for x, e in zip(u, eps))
+
+
+def _atlas_saturation_sqrt(r, q):
+    """(totals histogram, maximizing graphs) of the rank-r angle-1/sqrt(q)
+    search by brute force over the networkx graph atlas: h = q*G has q on
+    the diagonal and +-sqrt(q) off it (root +sqrt(q) with all, -sqrt(q) on
+    edges).  A unit line at angle 1/sqrt(q) has eps^T adj eps = det, and two
+    of them are at angle 1/sqrt(q) when sqrt(q) * eps_i^T adj eps_j = +-det."""
+    signs = [(1,) + tuple(1 - 2 * (g >> i & 1) for i in range(r - 1)) for g in range(1 << (r - 1))]
+    hist, best, winners = {}, 0, []
+    for g in nx.graph_atlas_g():
+        if g.number_of_nodes() != r - 1:
+            continue
+        h = [
+            [(q, 0) if i == j else (0, -1) if i and j and g.has_edge(i - 1, j - 1) else (0, 1)
+             for j in range(r)]
+            for i in range(r)
+        ]
+        found = _pair_bareiss_adjugate(h, q)
+        if found is None:
+            continue
+        det, adj = found
+        for i in range(r):
+            for j in range(r):
+                entry = (0, 0)
+                for t in range(r):
+                    prod = _pair_mul(adj[i][t], h[t][j], q)
+                    entry = (entry[0] + prod[0], entry[1] + prod[1])
+                assert entry == (det if i == j else (0, 0))
+        cands = []
+        for eps in signs:
+            u = [_pair_dot(row, eps) for row in adj]
+            if _pair_dot(u, eps) == det:
+                cands.append((eps, u))
+        compat = nx.Graph()
+        compat.add_nodes_from(range(len(cands)))
+        minus_det = (-det[0], -det[1])
+        for i, (_, u) in enumerate(cands):
+            compat.add_edges_from(
+                (i, j) for j in range(i + 1, len(cands))
+                if _pair_mul((0, 1), _pair_dot(u, cands[j][0]), q) in (det, minus_det)
+            )
+        total = r + max((len(c) for c in nx.find_cliques(compat)), default=0)
+        hist[total] = hist.get(total, 0) + 1
+        if total > best:
+            best, winners = total, []
+        if total == best:
+            winners.append(g)
+    return hist, winners
+
+
+@pytest.mark.parametrize("r,q", [(7, 13), (8, 17)])
+def test_quadratic_cells_match_a_brute_force_over_the_graph_atlas(r, q):
+    """The Z[sqrt d] counterpart of the rank-8 atlas oracle, sharing no code
+    with graphenum, saturate or ZSqrt: the PD class count, the totals
+    histogram and the maximizing graphs (up to isomorphism) of
+    m_alpha(r, 1/sqrt(q))."""
+    hist, winners = _atlas_saturation_sqrt(r, q)
+    rep = m_alpha(r, parse_scalar(f"1/sqrt({q})"))
+    assert rep.certificate["seeds"] == sum(hist.values())
+    assert rep.certificate["totals_histogram"] == {str(t): n for t, n in sorted(hist.items())}
+    seeds = rep.certificate["maximizing_seeds"]
+    assert len(seeds) == len(winners)
+    for entry in seeds:
+        g6 = graph_from_graph6(entry["graph6"])
+        graph = nx.Graph([(i, j) for i in range(g6.n) for j in range(i) if g6.has_edge(i, j)])
+        graph.add_nodes_from(range(g6.n))
+        assert sum(nx.is_isomorphic(graph, w) for w in winners) == 1
+    pinned = {13: {7: 43, 8: 4, 14: 28}, 17: {8: 394, 9: 85, 10: 32}}  # 75 and 511 classes
+    assert hist == pinned[q]
