@@ -11,10 +11,9 @@ Fraction-free work (Bareiss elimination, the saturation search) scales its input
 into a ring, Z for rational data and Z[sqrt d] for Q(sqrt d) data, and computes
 on integer coordinates: an int over Z, a pair (a, b) for a + b*sqrt(d).  An
 exact quotient over Z[sqrt d] multiplies by the conjugate of the divisor and
-divides exactly by its integer norm (``zsqrt_divide``, and ``zsqrt_rows_step``
-for the fraction-free step on whole coordinate rows); both raise
-ArithmeticError unless the quotient lies in the ring.  ``ZSqrt`` wraps one
-pair for elimination code that is written once for both rings (``rank_of``).
+divides exactly by its integer norm (``zsqrt_divide``); ``rows_step`` is the
+one fraction-free step on whole coordinate rows, for both rings.  Over
+Z[sqrt d] both raise ArithmeticError unless the quotient lies in the ring.
 """
 
 from __future__ import annotations
@@ -223,12 +222,17 @@ def zsqrt_divide(x, y, d: int) -> tuple[int, int]:
     return qa, qb
 
 
-def zsqrt_rows_step(p, c, q, xs, ys, d: int) -> tuple[list[int], list[int]]:
-    """The fraction-free step (p*x_j - c*y_j) / q over Z[sqrt d] for every
-    position j of the coordinate rows xs = (x_a, x_b) and ys = (y_a, y_b);
-    p, c, q are coordinate pairs.  p and c are multiplied by the conjugate of
-    q once, so each entry divides exactly by the int norm of q; raises
-    ArithmeticError if an entry is not divisible."""
+def rows_step(p, c, q, xs, ys, d: int) -> tuple[list[int], ...]:
+    """The fraction-free step (p*x_j - c*y_j) / q for every position j of the
+    rows xs and ys, in integer coordinates: over Z (d = 0) p, c, q are ints
+    and xs, ys hold one int row each; over Z[sqrt d] p, c, q are pairs and
+    xs = (x_a, x_b), ys = (y_a, y_b).  Returns the coordinate rows of the
+    result.  Over Z the quotient is the floor quotient, exact for a Bareiss
+    step; over Z[sqrt d] p and c are multiplied by the conjugate of q once, so
+    each entry divides exactly by the int norm of q, and an entry that is not
+    divisible raises ArithmeticError."""
+    if not d:
+        return ([(p * x - c * y) // q for x, y in zip(xs[0], ys[0])],)
     (pa, pb), (ca, cb), (qa, qb) = p, c, q
     nrm = qa * qa - d * qb * qb
     pa, pb = pa * qa - d * pb * qb, pb * qa - pa * qb
@@ -243,49 +247,6 @@ def zsqrt_rows_step(p, c, q, xs, ys, d: int) -> tuple[list[int], list[int]]:
         out_a.append(va)
         out_b.append(vb)
     return out_a, out_b
-
-
-class ZSqrt:
-    """The element a + b*sqrt(d) of the ring Z[sqrt d], with int a, b, for
-    elimination code written once for int and ZSqrt entries (``- * // ==``
-    and truth).
-
-    One radicand per computation (not checked); ints mix in as b = 0.  ``//``
-    is exact division (zsqrt_divide), so a fraction-free algorithm cannot
-    silently round.
-    """
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a: int, b: int, d: int):
-        self.a = a
-        self.b = b
-        self.d = d
-
-    def __sub__(self, o):
-        if isinstance(o, int):
-            return ZSqrt(self.a - o, self.b, self.d)
-        return ZSqrt(self.a - o.a, self.b - o.b, self.d)
-
-    def __mul__(self, o):
-        if isinstance(o, int):
-            return ZSqrt(self.a * o, self.b * o, self.d)
-        a, b, oa, ob = self.a, self.b, o.a, o.b
-        return ZSqrt(a * oa + b * ob * self.d, a * ob + b * oa, self.d)
-
-    def __floordiv__(self, o):
-        y = (o, 0) if isinstance(o, int) else (o.a, o.b)
-        return ZSqrt(*zsqrt_divide((self.a, self.b), y, self.d), self.d)
-
-    def __eq__(self, o):
-        if isinstance(o, ZSqrt):
-            return self.a == o.a and self.b == o.b
-        if isinstance(o, int):
-            return self.b == 0 and self.a == o
-        return NotImplemented
-
-    def __bool__(self):
-        return bool(self.a or self.b)
 
 
 def ring_to_scalar(x, d: int) -> Scalar:

@@ -6,14 +6,14 @@ matrix is first scaled into a ring, Z for rational entries and Z[sqrt d] for
 entries in Q(sqrt d), and eliminated fraction-free (Bareiss updates, exact
 divisions), so pivot signs are signs of leading principal minors of a symmetric
 reordering.  The scaling is integer-only: with c the lcm of all coordinate
-denominators, a coordinate p/q becomes p * (c // q).  Over Z the elimination
-runs on the int matrix; over Z[sqrt d] it runs on the two integer coordinate
-matrices of a + b*sqrt(d), and each Bareiss division multiplies by the
-conjugate of the previous pivot and divides exactly by its integer norm
-(exactnum.zsqrt_rows_step).  Ranks use fraction-free elimination with full
-pivoting, written once for int and ZSqrt entries.  An indefinite verdict always
-carries a witness vector v with v^T M v < 0, re-checked against the input
-before returning.
+denominators, a coordinate p/q becomes p * (c // q).  The elimination runs on
+integer coordinate matrices, the int matrix over Z and the two matrices of
+a + b*sqrt(d) over Z[sqrt d]; over Z[sqrt d] each Bareiss division multiplies
+by the conjugate of the previous pivot and divides exactly by its integer
+norm.  Ranks use fraction-free elimination with full pivoting on the same
+matrices, and psd_check and rank_of update every row through the one step
+exactnum.rows_step.  An indefinite verdict always carries a witness vector v
+with v^T M v < 0, re-checked against the input before returning.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ from equiangular.exactnum import (
     IntPoly,
     QuadExt,
     Scalar,
-    ZSqrt,
     format_scalar,
     parse_scalar,
     quad_sign,
     ring_sign,
     ring_to_scalar,
-    zsqrt_rows_step,
+    rows_step,
 )
 
 POSITIVE_DEFINITE = "positive_definite"
@@ -106,11 +105,11 @@ class SymMatrix:
                     return x.d
         return None
 
-    def integral_scaled(self) -> tuple[list[list], int]:
-        """(c*M, c) for the least positive integer c that puts every entry in
-        the ring: int rows if all entries are rational, ZSqrt rows over
-        Z[sqrt d] otherwise."""
-        d = self.radicand()
+    def integral_scaled(self) -> tuple[list[list[list[int]]], int, int]:
+        """(ms, c, d) for the least positive integer c that puts every entry
+        of c*M in the ring: over Q, d = 0 and ms = [c*M] as int rows; over
+        Q(sqrt d), ms = [A, B] with c*M = A + B*sqrt(d)."""
+        d = self.radicand() or 0
         zero = Fraction(0)
         # each distinct entry object is converted once (a Gram matrix has three)
         coords = {
@@ -122,11 +121,9 @@ class SymMatrix:
         def scale(y: Fraction) -> int:  # c*y, exact since y.denominator divides c
             return y.numerator * (c // y.denominator)
 
-        if d is None:
-            ring = {k: scale(a) for k, (a, _) in coords.items()}
-        else:
-            ring = {k: ZSqrt(scale(a), scale(b), d) for k, (a, b) in coords.items()}
-        return [[ring[id(x)] for x in r] for r in self.rows], c
+        ring = {k: (scale(a), scale(b)) for k, (a, b) in coords.items()}
+        ms = [[[ring[id(x)][p] for x in r] for r in self.rows] for p in range(2 if d else 1)]
+        return ms, c, d
 
     # -- serialization ------------------------------------------------------
     def to_json(self) -> str:
@@ -200,6 +197,27 @@ def _backpropagate(steps, witness: dict, d: int):
     return witness
 
 
+def _entry(ms, i, j):
+    """Entry (i, j) of integer coordinate matrices (SymMatrix.integral_scaled)
+    as a ring element: an int over Z, a pair over Z[sqrt d]."""
+    return (ms[0][i][j], ms[1][i][j]) if len(ms) == 2 else ms[0][i][j]
+
+
+def _take_out(ms, i, j):
+    """Remove row i and column j of the coordinate matrices ms in place.
+    Returns entry (i, j), the rest of column j as ring elements, and the
+    coordinate rows of the rest of row i."""
+    a = _entry(ms, i, j)
+    ys = [m.pop(i) for m in ms]
+    col = [_entry(ms, x, j) for x in range(len(ms[0]))]
+    for m in ms:
+        for row in m:
+            del row[j]
+    for y in ys:
+        del y[j]
+    return a, col, ys
+
+
 def psd_check(M: SymMatrix) -> PsdCertificate:
     """Exact positive-(semi)definiteness with certificate.
 
@@ -208,15 +226,7 @@ def psd_check(M: SymMatrix) -> PsdCertificate:
     nonzero off-diagonal entry in the fully zero-diagonal case, certifies
     indefiniteness and yields an explicit witness.
     """
-    rows, _ = M.integral_scaled()
-    first = rows[0][0]
-    d = first.d if isinstance(first, ZSqrt) else 0
-    # the active block in integer coordinates: one matrix over Z, two over Z[sqrt d]
-    ms = [[[x.a for x in r] for r in rows], [[x.b for x in r] for r in rows]] if d else [rows]
-
-    def entry(i, j):
-        return (ms[0][i][j], ms[1][i][j]) if d else rows[i][j]
-
+    ms, _, d = M.integral_scaled()  # the active block in integer coordinates
     n = M.n
     active = list(range(n))  # the index in M of each row of the active block
     steps = []  # (pivot index, pivot value, {active j: M[pivot][j]})
@@ -224,15 +234,15 @@ def psd_check(M: SymMatrix) -> PsdCertificate:
 
     while active:
         k = len(active)
-        t = next((i for i in range(k) if ring_sign(entry(i, i), d) > 0), None)
+        t = next((i for i in range(k) if ring_sign(_entry(ms, i, i), d) > 0), None)
         if t is None:
-            neg = next((i for i in range(k) if ring_sign(entry(i, i), d) < 0), None)
+            neg = next((i for i in range(k) if ring_sign(_entry(ms, i, i), d) < 0), None)
             if neg is not None:
                 witness = {active[neg]: Fraction(1)}
             else:
                 offdiag = next(
                     ((i, j) for i in range(k) for j in range(i + 1, k)
-                     if ring_sign(entry(i, j), d)),
+                     if ring_sign(_entry(ms, i, j), d)),
                     None,
                 )
                 if offdiag is None:
@@ -245,7 +255,7 @@ def psd_check(M: SymMatrix) -> PsdCertificate:
                     return cert
                 i, j = offdiag
                 witness = {
-                    active[i]: Fraction(1), active[j]: Fraction(-ring_sign(entry(i, j), d))
+                    active[i]: Fraction(1), active[j]: Fraction(-ring_sign(_entry(ms, i, j), d))
                 }
             witness = _backpropagate(steps, witness, d)
             vec = tuple(witness.get(k, Fraction(0)) for k in range(n))
@@ -255,23 +265,11 @@ def psd_check(M: SymMatrix) -> PsdCertificate:
 
         # take out the pivot row and column, then update the rest in place:
         # row x from column x on, mirrored at once into column x
-        a = entry(t, t)
-        ys = [m.pop(t) for m in ms]
-        for m in ms:
-            for row in m:
-                del row[t]
-        for y in ys:
-            del y[t]
+        a, col, ys = _take_out(ms, t, t)
         rest = active[:t] + active[t + 1 :]
-        steps.append((active[t], a, dict(zip(rest, zip(*ys) if d else ys[0]))))
+        steps.append((active[t], a, dict(zip(rest, col))))
         for x in range(k - 1):
-            if d:
-                new = zsqrt_rows_step(
-                    a, (ys[0][x], ys[1][x]), prev, [m[x][x:] for m in ms], [y[x:] for y in ys], d
-                )
-            else:
-                c = ys[0][x]
-                new = ([(a * u - c * v) // prev for u, v in zip(rows[x][x:], ys[0][x:])],)
+            new = rows_step(a, col[x], prev, [m[x][x:] for m in ms], [y[x:] for y in ys], d)
             for m, up in zip(ms, new):
                 m[x][x:] = up
                 for row, val in zip(m[x + 1 :], up[1:]):
@@ -285,43 +283,25 @@ def psd_check(M: SymMatrix) -> PsdCertificate:
 
 
 def rank_of(M: SymMatrix) -> int:
-    """Exact rank by fraction-free elimination with full pivoting, over Z or
-    Z[sqrt d]."""
-    rows, _ = M.integral_scaled()
-    n = len(rows)
-    row_idx = list(range(n))
-    col_idx = list(range(n))
-    prev = 1
+    """Exact rank by fraction-free elimination with full pivoting on the
+    integer coordinate matrices of M, over Z or Z[sqrt d]: each pivot is the
+    first nonzero entry of the remaining block in row-major order."""
+    ms, _, d = M.integral_scaled()
+    prev = (1, 0) if d else 1
     rank = 0
-    for step in range(n):
-        pr = pc = None
-        for i in row_idx:
-            for j in col_idx:
-                if rows[i][j]:
-                    pr, pc = i, j
-                    break
-            if pr is not None:
-                break
+    while True:
+        pr = next((i for i, rows in enumerate(zip(*ms)) if any(map(any, rows))), None)
         if pr is None:
-            break
+            return rank
         rank += 1
-        a = rows[pr][pc]
-        ri = [i for i in row_idx if i != pr]
-        cj = [j for j in col_idx if j != pc]
-        prow = rows[pr]
-        for i in ri:
-            rc = rows[i][pc]
-            if not rc and a == prev:
+        pc = next(j for j, x in enumerate(zip(*(m[pr] for m in ms))) if any(x))
+        a, col, ys = _take_out(ms, pr, pc)
+        for x, c in enumerate(col):
+            if a == prev and not ring_sign(c, d):
                 continue  # the update would leave this row unchanged
-            r = rows[i]
-            for j in cj:
-                r[j] = (a * r[j] - rc * prow[j]) // prev
+            for m, up in zip(ms, rows_step(a, c, prev, [m[x] for m in ms], ys, d)):
+                m[x] = up
         prev = a
-        row_idx, col_idx = ri, cj
-    return rank
-
-
-rank = rank_of
 
 
 def solve(M: SymMatrix, rhs_columns: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
@@ -408,8 +388,8 @@ def aI_bJ_inverse(a: Scalar, b: Scalar, k: int) -> tuple[Scalar, Scalar]:
 def char_poly(M: SymMatrix) -> IntPoly:
     """Characteristic polynomial of an integer symmetric matrix, monic of
     degree n, computed by the integer-preserving Faddeev-LeVerrier recurrence."""
-    a, c = M.integral_scaled()
-    if c != 1 or M.radicand() is not None:
+    (a, *_), c, d = M.integral_scaled()
+    if c != 1 or d:
         raise ValueError("integer entries required")
     n = M.n
     coeffs = [1]  # c_0 = 1 for x^n

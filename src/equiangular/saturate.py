@@ -71,9 +71,9 @@ from equiangular.exactnum import (
     quad_sign,
     ring_sign,
     ring_to_scalar,
+    rows_step,
     zsqrt_divide,
     zsqrt_mul,
-    zsqrt_rows_step,
 )
 from equiangular.graphenum import attach_vertex, count_graph_classes, find_isomorphism
 from equiangular.linalg import SymMatrix
@@ -229,14 +229,15 @@ def _extend_record(mode: _Mode, rec: dict, nb: int, ms: list) -> dict:
     """Record of the class grown by a vertex with neighbor mask nb; ms are
     the integer coordinate matrices of rec's adjugate (_adj_matrices).  With
     su = bscale * adj@b the new adjugate is [[(det'*adj + su su^T) / det,
-    -su], [-su^T, det]]; over Z[sqrt d] zsqrt_rows_step forms it coordinate
-    by coordinate.  Only the entries on and above the diagonal are computed."""
+    -su], [-su^T, det]]; over Z[sqrt d] rows_step forms it coordinate by
+    coordinate.  Only the entries on and above the diagonal are computed."""
     k = len(rec["masks"])
     n = k + 1
     masks = [m | ((nb >> i & 1) << k) for i, m in enumerate(rec["masks"])]
     masks.append(nb)
     det, d = rec["det"], mode.d
     quad, u = _quad_u(ms, nb)
+    # over Z the step stays inline: a rows_step call per row was 1.6x slower on these small records
     if not d:
         (adj,), (u,), (quad,) = ms, u, quad
         det_new = mode.corner * det - mode.bscale_sq * quad
@@ -254,8 +255,8 @@ def _extend_record(mode: _Mode, rec: dict, nb: int, ms: list) -> dict:
     sa = [ba * x + d * bb * y for x, y in zip(ua, ub)]
     sb = [ba * y + bb * x for x, y in zip(ua, ub)]
     new_a, new_b = [[None] * n + [-x] for x in sa], [[None] * n + [-x] for x in sb]
-    for i in range(n):  # as over Z, one zsqrt_rows_step per row from column i on
-        ra, rb = zsqrt_rows_step(
+    for i in range(n):  # as over Z, one rows_step per row from column i on
+        ra, rb = rows_step(
             det_new, (-sa[i], -sb[i]), det, (a[i][i:], b[i][i:]), (sa[i:], sb[i:]), d
         )
         for j, va, vb in zip(range(i, n), ra, rb):
@@ -479,8 +480,9 @@ def _compat_target(mode: _Mode, det) -> list[int] | None:
     return None if t is None else list(t) if mode.d else [t]
 
 
-def _pair_sign(seed: BasisSeed, u_i, eps_j) -> int:
-    tgt = _compat_target(seed.mode, seed.det)
+def _pair_sign(tgt: list[int] | None, u_i, eps_j) -> int:
+    """+1 or -1 as the dots of u_i with eps_j equal the compatibility target
+    tgt (_compat_target) or its negative."""
     dots = [sum(map(mul, uc, eps_j)) for uc in u_i]
     if dots == tgt:
         return 1
@@ -523,12 +525,13 @@ def realize(seed: BasisSeed, cands: CandidateSet, chosen: Sequence[int]) -> Equi
     n = r + len(chosen)
     rows = [list(row) + [0] * (n - r) for row in seed.seidel().rows] + [[0] * n for _ in chosen]
     lines = cands.lines
+    tgt = _compat_target(seed.mode, seed.det)
     for a, ci in enumerate(chosen):
         eps = lines[ci].sign_vector
         for i in range(r):
             rows[i][r + a] = rows[r + a][i] = eps[i]
         for b in range(a):
-            s = _pair_sign(seed, lines[ci].u, lines[chosen[b]].sign_vector)
+            s = _pair_sign(tgt, lines[ci].u, lines[chosen[b]].sign_vector)
             rows[r + a][r + b] = rows[r + b][r + a] = s
     e = EquiangularSet(seed.alpha, SeidelMatrix(tuple(tuple(x) for x in rows)))
     if e.rank != r:

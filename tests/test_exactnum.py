@@ -13,7 +13,6 @@ import equiangular
 from equiangular.exactnum import (
     IntPoly,
     QuadExt,
-    ZSqrt,
     format_scalar,
     parse_scalar,
     poly_eval,
@@ -22,11 +21,11 @@ from equiangular.exactnum import (
     quad_sign,
     ring_sign,
     ring_to_scalar,
+    rows_step,
     scalar_floor,
     squarefree_decomposition,
     zsqrt_divide,
     zsqrt_mul,
-    zsqrt_rows_step,
 )
 
 
@@ -172,54 +171,46 @@ radicands = st.sampled_from([2, 3, 5, 17])
 
 
 def zs(d):
-    return st.builds(ZSqrt, small, small, st.just(d))
+    """Elements of Z[sqrt d] as QuadExt values with integer coordinates."""
+    return st.builds(QuadExt, small, small, st.just(d))
 
 
-def _q(z, d):
-    """A ZSqrt as a QuadExt, through its integer coordinates."""
-    return ring_to_scalar((z.a, z.b), d)
+def _in_ring(x) -> bool:
+    """Whether a QuadExt value has integer coordinates."""
+    return x.a.denominator == 1 and x.b.denominator == 1
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data(), radicands)
-def test_zsqrt_ring_operations_match_quadext(data, d):
-    """The ZSqrt operations kept for elimination code (- * // == and truth)
-    and the pair product zsqrt_mul agree with QuadExt."""
-    x, y = data.draw(zs(d)), data.draw(zs(d))
-    k = data.draw(small)
-    assert _q(x - y, d) == _q(x, d) - _q(y, d)
-    assert _q(x * y, d) == _q(x, d) * _q(y, d)
-    assert _q(x * k, d) == _q(x, d) * k
-    assert _q(x - k, d) == _q(x, d) - k
-    assert ring_to_scalar(zsqrt_mul((x.a, x.b), (y.a, y.b), d), d) == _q(x, d) * _q(y, d)
-    assert (x == y) == (_q(x, d) == _q(y, d))
-    assert bool(x) == bool(_q(x, d))
-    assert (x == k) == (_q(x, d) == k)
+def _pair(x):
+    """The integer coordinates (a, b) of x = a + b*sqrt(d) in Z[sqrt d]."""
+    assert _in_ring(x), x
+    return int(x.a), int(x.b)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), radicands)
 def test_zsqrt_exact_division(data, d):
+    """zsqrt_mul and zsqrt_divide on coordinate pairs against QuadExt: a
+    quotient with integer coordinates is returned, any other raises
+    ArithmeticError, and division by 0 raises ZeroDivisionError."""
     x, y = data.draw(zs(d)), data.draw(zs(d))
     k = data.draw(small.filter(bool))
+    xy = zsqrt_mul(_pair(x), _pair(y), d)
+    assert xy == _pair(x * y)
     if y:
-        assert (x * y) // y == x
-        assert zsqrt_divide(((x * y).a, (x * y).b), (y.a, y.b), d) == (x.a, x.b)
-        quotient = _q(x, d) / _q(y, d)
-        if quotient.a.denominator == 1 and quotient.b.denominator == 1:
-            assert _q(x // y, d) == quotient
+        assert zsqrt_divide(xy, _pair(y), d) == _pair(x)
+        quotient = x / y
+        if _in_ring(quotient):
+            assert zsqrt_divide(_pair(x), _pair(y), d) == _pair(quotient)
         else:
             with pytest.raises(ArithmeticError):
-                x // y
-            with pytest.raises(ArithmeticError):
-                zsqrt_divide((x.a, x.b), (y.a, y.b), d)
+                zsqrt_divide(_pair(x), _pair(y), d)
     else:
         with pytest.raises(ZeroDivisionError):
-            x // y
-    assert (x * k) // k == x
+            zsqrt_divide(_pair(x), _pair(y), d)
+    assert zsqrt_divide(_pair(x * k), (k, 0), d) == _pair(x)
     if x.a % k or x.b % k:
         with pytest.raises(ArithmeticError):
-            x // k
+            zsqrt_divide(_pair(x), (k, 0), d)
 
 
 @settings(max_examples=500, deadline=None)
@@ -229,11 +220,11 @@ def test_zsqrt_sign_matches_quadext(data, d):
     with |a|, |b| <= 10^6 a nonzero a + b*sqrt(d) is at least 10^-7 away
     from 0, far above the float error."""
     x = data.draw(zs(d))
-    pair = (x.a, x.b)
-    value = x.a + x.b * math.sqrt(d)
-    assert ring_sign(pair, d) == _q(x, d).sign() == (value > 0) - (value < 0)
-    assert ring_sign((-x.a, -x.b), d) == -ring_sign(pair, d)
-    assert ring_sign(x.a, 0) == (x.a > 0) - (x.a < 0)
+    a, b = pair = _pair(x)
+    value = a + b * math.sqrt(d)
+    assert ring_sign(pair, d) == x.sign() == (value > 0) - (value < 0)
+    assert ring_sign((-a, -b), d) == -ring_sign(pair, d)
+    assert ring_sign(a, 0) == (a > 0) - (a < 0)
 
 
 def test_ring_coordinates_round_trip():
@@ -245,49 +236,63 @@ def test_ring_coordinates_round_trip():
     assert ring_to_scalar(5, 0) == Fraction(5) and ring_to_scalar(-3, 0).denominator == 1
 
 
-def _zsqrt_rows(draw, d, k):
-    return [ZSqrt(draw(small), draw(small), d) for _ in range(k)]
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.data(), st.sampled_from([2, 5, 13, 17]))
-def test_rows_step_matches_zsqrt_entries(data, d):
-    """zsqrt_rows_step gives (p*x_j - c*y_j) // q entry by entry as ZSqrt
-    computes it, for exact quotients (q divides p and c, or the rows are
-    multiples of q), and raises ArithmeticError for an inexact one."""
+@given(st.data(), st.sampled_from([0, 2, 5, 13, 17]))
+def test_rows_step_matches_ring_arithmetic(data, d):
+    """rows_step gives (p*x_j - c*y_j) / q entry by entry: over Z (d = 0) as
+    plain int arithmetic, over Z[sqrt d] as QuadExt computes it, each
+    quotient checked to lie in the ring.  The quotients are exact (q divides
+    p and c, or the rows are multiples of q); over Z[sqrt d] an inexact one
+    raises ArithmeticError."""
     k = data.draw(st.integers(0, 6))
     draw = data.draw
-    q = ZSqrt(draw(small.filter(bool)), draw(small), d)
-    p, c = (ZSqrt(draw(small), draw(small), d) for _ in range(2))
-    xs, ys = _zsqrt_rows(draw, d, k), _zsqrt_rows(draw, d, k)
+    el = zs(d) if d else small
+    q = draw(el.filter(bool))
+    p, c = draw(el), draw(el)
+    xs, ys = draw(st.lists(el, min_size=k, max_size=k)), draw(st.lists(el, min_size=k, max_size=k))
     if draw(st.booleans()):
         p, c = p * q, c * q
     else:
         xs, ys = [x * q for x in xs], [y * q for y in ys]
 
+    def quotient(x, y):
+        if d:
+            v = (p * x - c * y) / q
+            assert _in_ring(v)
+            return v
+        v, rem = divmod(p * x - c * y, q)
+        assert rem == 0
+        return v
+
     def coords(zs_):
-        return [z.a for z in zs_], [z.b for z in zs_]
+        return ([a for a, _ in map(_pair, zs_)], [b for _, b in map(_pair, zs_)]) if d else (zs_,)
 
-    def pair(z):
-        return z.a, z.b
+    def ring(z):
+        return _pair(z) if d else z
 
-    want = coords([(p * x - c * y) // q for x, y in zip(xs, ys)])
-    assert zsqrt_rows_step(pair(p), pair(c), pair(q), coords(xs), coords(ys), d) == want
-    if k and q.a * q.a - d * q.b * q.b not in (1, -1):
+    want = coords([quotient(x, y) for x, y in zip(xs, ys)])
+    assert rows_step(ring(p), ring(c), ring(q), coords(xs), coords(ys), d) == want
+    if d and k and (q.a * q.a - d * q.b * q.b) not in (1, -1):
         # x_0 = q*z + 1 is not divisible by q, which is not a unit
-        xa, xb = coords([z * q for z in _zsqrt_rows(draw, d, k)])
+        xa, xb = coords([z * q for z in draw(st.lists(el, min_size=k, max_size=k))])
         xa[0] += 1
         with pytest.raises(ArithmeticError):
-            zsqrt_rows_step((1, 0), (0, 0), pair(q), (xa, xb), coords(ys), d)
+            rows_step((1, 0), (0, 0), ring(q), (xa, xb), coords(ys), d)
 
 
 def test_inexact_division_raises_under_optimize():
-    """The exactness check is a real raise, not an assert stripped by -O."""
+    """The exactness checks are real raises, not asserts stripped by -O."""
     root = os.path.dirname(equiangular.__path__[0])
     env = dict(os.environ, PYTHONPATH=root)
     code = (
-        "from equiangular.exactnum import ZSqrt\n"
-        "ZSqrt(1, 1, 17) // ZSqrt(2, 0, 17)\n"
+        "from equiangular.exactnum import rows_step, zsqrt_divide\n"
+        "try:\n"
+        "    rows_step((1, 0), (0, 0), (2, 0), ([1], [1]), ([0], [0]), 17)\n"
+        "except ArithmeticError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('rows_step accepted an inexact step')\n"
+        "zsqrt_divide((1, 1), (2, 0), 17)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiangular.exactnum import IntPoly, QuadExt, ZSqrt, poly_eval, quad_sign
+from equiangular.exactnum import IntPoly, QuadExt, poly_eval, quad_sign
 from equiangular.linalg import (
     INDEFINITE,
     POSITIVE_DEFINITE,
@@ -197,44 +197,49 @@ def test_quadratic_psd_verdict_matches_principal_minor_oracle(d):
     assert all(counts.values()), counts  # every verdict exercised
 
 
-def _zsqrt_scalar(x):
-    return QuadExt(x.a, x.b, x.d) if isinstance(x, ZSqrt) else Fraction(x)
+def _ring_quotient(x, y):
+    """x / y over Q or Q(sqrt d), checked to lie in Z or Z[sqrt d]."""
+    q = x / y
+    assert all(v.denominator == 1 for v in ((q.a, q.b) if isinstance(q, QuadExt) else (q,))), q
+    return q
 
 
 def _zsqrt_psd_reference(m):
-    """psd_check as it ran on ZSqrt entries, in place on the full matrix:
-    the oracle of the coordinate elimination.  Same pivot rule, same
-    witness construction; the indefinite rank comes from rank_of."""
-    rows, _ = m.integral_scaled()
+    """The Bareiss elimination in place on the full scaled matrix, on exact
+    scalars with integer coordinates, each quotient checked to lie in Z or
+    Z[sqrt d]: the oracle of the coordinate elimination.  Same pivot rule,
+    same witness construction; the indefinite rank comes from rank_of."""
+    ms, _, d = _integral_scaled_by_multiplying(m)
+    if d:
+        rows = [[QuadExt(a, b, d) for a, b in zip(*r)] for r in zip(*ms)]
+    else:
+        rows = [[Fraction(x) for x in r] for r in ms[0]]
     n = m.n
     active, steps, prev = list(range(n)), [], 1
-
-    def sign(x):
-        return quad_sign(_zsqrt_scalar(x))
 
     def back(witness):
         for pivot, val, column in reversed(steps):
             acc = sum(
-                (_zsqrt_scalar(b) * witness[j] for j, b in column.items() if witness.get(j)),
-                Fraction(0),
+                (b * witness[j] for j, b in column.items() if witness.get(j)), Fraction(0)
             )
-            witness[pivot] = -acc / _zsqrt_scalar(val)
+            witness[pivot] = -acc / val
         return tuple(witness.get(k, Fraction(0)) for k in range(n))
 
     while active:
-        pivot = next((p for p in active if sign(rows[p][p]) > 0), None)
+        pivot = next((p for p in active if quad_sign(rows[p][p]) > 0), None)
         if pivot is None:
-            neg = next((p for p in active if sign(rows[p][p]) < 0), None)
+            neg = next((p for p in active if quad_sign(rows[p][p]) < 0), None)
             if neg is not None:
                 return PsdCertificate(INDEFINITE, rank_of(m), witness=back({neg: Fraction(1)}))
             pairs = [
-                (i, j) for x, i in enumerate(active) for j in active[x + 1 :] if sign(rows[i][j])
+                (i, j) for x, i in enumerate(active) for j in active[x + 1 :]
+                if quad_sign(rows[i][j])
             ]
             if not pairs:
                 order = tuple(s[0] for s in steps)
                 return PsdCertificate(POSITIVE_SEMIDEFINITE_SINGULAR, len(steps), pivot_order=order)
             i, j = pairs[0]
-            witness = back({i: Fraction(1), j: Fraction(-sign(rows[i][j]))})
+            witness = back({i: Fraction(1), j: Fraction(-quad_sign(rows[i][j]))})
             return PsdCertificate(INDEFINITE, rank_of(m), witness=witness)
         a = rows[pivot][pivot]
         rest = [j for j in active if j != pivot]
@@ -242,7 +247,8 @@ def _zsqrt_psd_reference(m):
         for x, i in enumerate(rest):
             rpi = rows[i][pivot]
             for j in rest[x:]:
-                rows[i][j] = rows[j][i] = (a * rows[i][j] - rpi * rows[pivot][j]) // prev
+                value = a * rows[i][j] - rpi * rows[pivot][j]
+                rows[i][j] = rows[j][i] = _ring_quotient(value, prev)
         prev = a
         active = rest
     return PsdCertificate(POSITIVE_DEFINITE, n, pivot_order=tuple(s[0] for s in steps))
@@ -288,7 +294,7 @@ def _quadratic_matrices(draw):
 def test_quadratic_psd_certificate_matches_a_zsqrt_reference(m):
     """Over Q(sqrt d) psd_check eliminates on integer coordinate pairs; its
     certificate (verdict, rank, pivot order, witness) equals that of the
-    ZSqrt elimination, for orders up to 18."""
+    in-place elimination on exact scalars, for orders up to 18."""
     assert psd_check(m) == _zsqrt_psd_reference(m)
 
 
@@ -307,6 +313,10 @@ def test_rank_when_a_pivot_column_has_zeros():
     # rows with a zero in the pivot column are still rescaled by the pivot;
     # skipping them broke the next exact division and dropped the rank to 2
     assert rank_of(SymMatrix([[2, 0, 0], [0, 1, 1], [0, 1, 2]])) == 3
+    # over Q(sqrt 17): the first step skips the rows with a zero pivot column
+    # (pivot = previous pivot = 1), the second must rescale them by sqrt(17)
+    s = QuadExt(0, 1, 17)
+    assert rank_of(SymMatrix([[1, 0, 0, 0], [0, s, 0, 0], [0, 0, 1, 1], [0, 0, 1, 2]])) == 4
 
 
 def test_rank_matches_sympy_on_sparse_rational_matrices():
@@ -489,18 +499,19 @@ def test_char_poly_rejects_non_integer():
 
 def _integral_scaled_by_multiplying(m):
     """Reference for SymMatrix.integral_scaled: int(y * c) per coordinate."""
-    d = m.radicand()
+    d = m.radicand() or 0
     coords = [
         [(x.a, x.b) if isinstance(x, QuadExt) else (x, Fraction(0)) for x in r] for r in m.rows
     ]
     c = lcm(*{y.denominator for r in coords for ab in r for y in ab})
-    if d is None:
-        return [[int(a * c) for a, _ in r] for r in coords], c
-    return [[ZSqrt(int(a * c), int(b * c), d) for a, b in r] for r in coords], c
+    return [[[int(ab[p] * c) for ab in r] for r in coords] for p in range(2 if d else 1)], c, d
 
 
-def _ring_key(x):
-    return (type(x), x.a, x.b, x.d) if isinstance(x, ZSqrt) else (type(x), x)
+def _assert_same_integral_scaling(m):
+    got, want = m.integral_scaled(), _integral_scaled_by_multiplying(m)
+    assert got == want
+    assert all(type(x) is int for g in got[0] for r in g for x in r)
+    return got[0]
 
 
 _fractions = st.builds(
@@ -531,26 +542,23 @@ def _scalar_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(m=_scalar_matrices())
 def test_integral_scaled_equals_multiplying_each_coordinate(m):
-    got, c = m.integral_scaled()
-    want, c_want = _integral_scaled_by_multiplying(m)
-    assert c == c_want
-    assert [list(map(_ring_key, r)) for r in got] == [list(map(_ring_key, r)) for r in want]
+    _assert_same_integral_scaling(m)
 
 
 @pytest.mark.parametrize("alpha", [frac(1, 5), QuadExt(0, frac(1, 17), 17)])
 def test_integral_scaled_converts_each_distinct_entry_once(alpha):
-    """A Gram matrix I + alpha*A has three distinct entries; its scaled rows
-    hold three ring elements, each shared by every position of its entry."""
+    """A matrix I + beta*A with beta = (10^12 + 1)*alpha has three distinct
+    entries; each of its scaled coordinate matrices holds at most three int
+    objects, each shared by every position of its entry (the factor makes
+    the coordinates large ints, which Python does not cache)."""
     rng = random.Random(3)
     n = 9
-    entries = (frac(1) + 0 * alpha, alpha, -alpha)
+    beta = (10**12 + 1) * alpha
+    entries = (frac(1) + 0 * beta, beta, -beta)
     rows = [[entries[0]] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = rng.choice(entries[1:])
-    got, c = SymMatrix(rows).integral_scaled()
-    want, c_want = _integral_scaled_by_multiplying(SymMatrix(rows))
-    assert c == c_want
-    assert [list(map(_ring_key, r)) for r in got] == [list(map(_ring_key, r)) for r in want]
-    if isinstance(alpha, QuadExt):
-        assert len({id(x) for r in got for x in r}) == 3
+    ms = _assert_same_integral_scaling(SymMatrix(rows))
+    assert len(ms) == (2 if isinstance(alpha, QuadExt) else 1)
+    assert all(len({id(x) for r in m_ for x in r}) <= 3 for m_ in ms)

@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from functools import reduce
 from math import isqrt
 from operator import mul
 
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiangular.exactnum import QuadExt, ZSqrt, parse_scalar, quad_sign, ring_to_scalar
+from equiangular.exactnum import QuadExt, parse_scalar, quad_sign, ring_to_scalar
 from equiangular.graphenum import count_graph_classes
 from equiangular.linalg import psd_check
 from equiangular.saturate import (
@@ -431,26 +430,29 @@ def test_ladder_adjugates_are_exact(alpha):
                 assert entry == (det if i == j else (0, 0)), (rec["masks"], i, j)
 
 
-def _zsqrt_add(x, y):
-    return x - y * -1
+def _in_ring(x) -> bool:
+    """Whether a QuadExt value has integer coordinates, i.e. lies in Z[sqrt d]."""
+    return x.a.denominator == 1 and x.b.denominator == 1
 
 
 def _zsqrt_extended(corner, bscale, det, adj, nb):
-    """The record update as it ran on ZSqrt entries, the oracle of the
-    coordinate form: with b the sign vector of nb, u = adj b and
-    su = bscale*u, det' = corner*det - bscale^2 * b^T u and
-    adj' = [[(det'*adj + su su^T) // det, -su], [-su^T, det]]."""
-    n, zero = len(adj), ZSqrt(0, 0, det.d)
+    """The record update on QuadExt values with integer coordinates, the
+    oracle of the coordinate form.  With b the sign vector of nb, u = adj b
+    and su = bscale*u, det' = corner*det - bscale^2 * b^T u and
+    adj' = [[(det'*adj + su su^T) / det, -su], [-su^T, det]], each quotient
+    checked to lie in Z[sqrt d]."""
+    n, zero = len(adj), QuadExt(0, 0, det.d)
     b = [1] + [-1 if nb >> i & 1 else 1 for i in range(n - 1)]
-    u = [reduce(_zsqrt_add, (x * s for x, s in zip(row, b)), zero) for row in adj]
-    quad = reduce(_zsqrt_add, (x * s for x, s in zip(u, b)), zero)
+    u = [sum((x * s for x, s in zip(row, b)), zero) for row in adj]
+    quad = sum((x * s for x, s in zip(u, b)), zero)
     det_new = corner * det - bscale * bscale * quad
     su = [bscale * x for x in u]
     new = [
-        [_zsqrt_add(det_new * adj[i][j], su[i] * su[j]) // det for j in range(n)] + [zero - su[i]]
+        [(det_new * adj[i][j] + su[i] * su[j]) / det for j in range(n)] + [-su[i]]
         for i in range(n)
     ]
-    new.append([zero - x for x in su] + [det])
+    assert all(_in_ring(x) for row in new for x in row)
+    new.append([-x for x in su] + [det])
     return det_new, new
 
 
@@ -462,7 +464,7 @@ def _zsqrt_extended(corner, bscale, det, adj, nb):
 )
 def test_coordinate_record_update_matches_the_zsqrt_update(d, general, nbs):
     """Along a random PD ladder, _extend_record on integer coordinates gives
-    the det and adjugate of the ZSqrt formula it replaced, for alpha =
+    the det and adjugate of the formula on QuadExt values, for alpha =
     1/sqrt(d) and for (sqrt(d) - 1)/(d + 1), whose bscale has two nonzero
     coordinates."""
     if general:
@@ -470,15 +472,15 @@ def test_coordinate_record_update_matches_the_zsqrt_update(d, general, nbs):
     else:
         alpha = QuadExt(0, Fraction(1, d), d)
     mode = _alpha_mode(alpha)
-    corner, bscale = ZSqrt(mode.corner, 0, d), ZSqrt(*mode.bscale, d)
-    assert bscale * bscale == ZSqrt(*mode.bscale_sq, d)
+    corner, bscale = QuadExt(mode.corner, 0, d), ring_to_scalar(mode.bscale, d)
+    assert bscale * bscale == ring_to_scalar(mode.bscale_sq, d)
     rec = _root_record(mode)
-    det, adj = corner, [[ZSqrt(1, 0, d)]]
+    det, adj = corner, [[QuadExt(1, 0, d)]]
     for k, nb in enumerate(nbs):
         nb &= (1 << k) - 1
         rec = _extend_record(mode, rec, nb, _adj_matrices(rec))
         det, adj = _zsqrt_extended(corner, bscale, det, adj, nb)
-        assert rec["det"] == (det.a, det.b)
+        assert _in_ring(det) and rec["det"] == (det.a, det.b)
         assert _adj_matrices(rec) == [[[x.a for x in row] for row in adj],
                                       [[x.b for x in row] for row in adj]]
         if quad_sign(ring_to_scalar(rec["det"], d)) <= 0:
@@ -558,14 +560,15 @@ def test_children_totals_match_the_record_path(r, alpha, children, zeros):
     assert (seen, zero_members) == (children, zeros)
 
 
-_UNITS = {2: ZSqrt(1, 1, 2), 5: ZSqrt(2, 1, 5), 13: ZSqrt(18, 5, 13), 17: ZSqrt(4, 1, 17)}
+_UNITS = {2: (1, 1), 5: (2, 1), 13: (18, 5), 17: (4, 1)}  # norm -1: a^2 - d*b^2 = -1
 
 
 def _ring_elements(d):
+    """Elements of Z, or of Z[sqrt d] as QuadExt values with integer coordinates."""
     ints = st.integers(-10**6, 10**6)
     if not d:
         return ints
-    return st.builds(lambda a, b: ZSqrt(a, b, d), ints, ints)
+    return st.builds(lambda a, b: QuadExt(a, b, d), ints, ints)
 
 
 def _power(x, k, one):
@@ -584,15 +587,16 @@ def test_square_keys_of_a_square_product(d, data):
     inverse e'."""
     el = _ring_elements(d)
     m, a, c, bscale = (data.draw(el) for _ in range(4))
-    one = ZSqrt(1, 0, d) if d else 1
+    one = QuadExt(1, 0, d) if d else 1
     k = data.draw(st.integers(0, 3))
-    unit = _power(_UNITS[d], k, one) if d else 1
-    inv = _power(ZSqrt(-_UNITS[d].a, _UNITS[d].b, d), k, one) if d else 1
+    unit = _power(QuadExt(*_UNITS[d], d), k, one) if d else 1
+    inv = _power(QuadExt(-_UNITS[d][0], _UNITS[d][1], d), k, one) if d else 1
     assert unit * inv == one  # e * (-conj(e)) = -norm(e) = 1
     x = m * a * a * unit
     y = m * bscale * bscale * c * c * inv
     assert x * y == bscale * bscale * (m * a * c) * (m * a * c)
-    kx, ky = (_square_key((z.a, z.b), d) if d else _square_key(z, d) for z in (x, y))
+    assert not d or (_in_ring(x) and _in_ring(y))
+    kx, ky = (_square_key((int(z.a), int(z.b)), d) if d else _square_key(z, d) for z in (x, y))
     prod = kx * ky
     assert prod >= 0 and isqrt(prod) ** 2 == prod
 
@@ -804,7 +808,7 @@ def _atlas_saturation_sqrt(r, q):
 @pytest.mark.parametrize("r,q", [(7, 13), (8, 17)])
 def test_quadratic_cells_match_a_brute_force_over_the_graph_atlas(r, q):
     """The Z[sqrt d] counterpart of the rank-8 atlas oracle, sharing no code
-    with graphenum, saturate or ZSqrt: the PD class count, the totals
+    with graphenum or saturate: the PD class count, the totals
     histogram and the maximizing graphs (up to isomorphism) of
     m_alpha(r, 1/sqrt(q))."""
     hist, winners = _atlas_saturation_sqrt(r, q)
