@@ -28,15 +28,17 @@ tests are exact ring comparisons:
     unit candidate line:          eps^T adj eps == corner*det / bscale^2
     compatible candidate pair:    adj eps_i . eps_j == +-det / bscale
 
-The first two tests run on all 2^(n-1) sign vectors of an n x n adjugate at
-once (_SignScan), on the integer coordinates of the ring: one integer matrix
-over Z, two over Z[sqrt d].  eps^T m eps is an affine function of the pairwise
-sign differences, so it is n(n-1)/2 big-int multiply-adds of fixed 0/1
-patterns into one int of fixed-width fields, one field per sign vector in
-Gray order.  Equality with a target (per coordinate) and, over Z, the PD
-bound are guard-bit tests on that int; the exact Z[sqrt d] PD sign is tested
-per sign vector on the unpacked fields.  adj@eps is computed only for the
-candidate lines and for the children that start a new class.
+The first two tests are the sign of one ring element,
+P(eps) = corner*det - bscale^2 * (eps^T adj eps): eps gives a PD child when
+P(eps) > 0 and a unit candidate line when P(eps) = 0 (the ring has no zero
+divisors and bscale != 0).  eps^T adj eps comes for all 2^(n-1) sign vectors
+of an n x n adjugate at once (_SignScan), on the integer coordinates of the
+ring: one integer matrix over Z, two over Z[sqrt d].  eps^T m eps is an
+affine function of the pairwise sign differences, so it is n(n-1)/2 big-int
+multiply-adds of fixed 0/1 patterns into one int of fixed-width fields, one
+field per sign vector in Gray order, unpacked into one value per sign
+vector.  adj@eps is computed only for the candidate lines and for the
+children that start a new class.
 
 The final level builds no child record and no child scan.  The parent's
 packed scan gives P(b) = corner*det - bscale^2 * (b^T adj b) for every b;
@@ -57,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import compress, groupby, islice
+from itertools import groupby, islice
 from math import isqrt, lcm
 from operator import add, mul, neg
 from typing import Sequence
@@ -121,17 +123,6 @@ def _alpha_mode(alpha: Scalar) -> _Mode:
     if not d:
         return _Mode(c, bscale[0], bscale[0] ** 2)
     return _Mode(c, bscale, zsqrt_mul(bscale, bscale, d), d)
-
-
-def _exact_quotient(num, den, d: int):
-    """num / den in integer coordinates if it lies in the ring, else None."""
-    if d:
-        try:
-            return zsqrt_divide(num, den, d)
-        except ArithmeticError:
-            return None
-    q, rem = divmod(num, den)
-    return None if rem else q
 
 
 def _corner_times(mode: _Mode, x):
@@ -198,7 +189,7 @@ class SaturationReport:
     clique_size: int
     total: int
     clique_witness: tuple[int, ...]
-    realized: EquiangularSet | None = None
+    realized: EquiangularSet
 
 
 @dataclass
@@ -275,11 +266,11 @@ def _gray_masks(n: int) -> tuple[int, ...]:
 
 
 @cache
-def _patterns(n: int, step: int) -> tuple[int, int, list[int]]:
-    """(ones, guards, [P_ij for i < j]) over the sign vectors of length n in
-    Gray order, packed one field of step bytes per sign vector: each field of
-    ones holds 1, each field of guards its top bit, and field g of P_ij holds
-    1 where b[i] != b[j] in the g-th sign vector."""
+def _patterns(n: int, step: int) -> tuple[int, list[int]]:
+    """(ones, [P_ij for i < j]) over the sign vectors of length n in Gray
+    order, packed one field of step bytes per sign vector: each field of ones
+    holds 1, and field g of P_ij holds 1 where b[i] != b[j] in the g-th sign
+    vector."""
     fields = 1 << (n - 1)
 
     def packed(values) -> int:
@@ -290,7 +281,7 @@ def _patterns(n: int, step: int) -> tuple[int, int, list[int]]:
     cols = [0] + [packed(nb >> (i - 1) & 1 for nb in _gray_masks(n)) for i in range(1, n)]
     ones = packed([1] * fields)
     pairs = [cols[i] ^ cols[j] for i in range(n) for j in range(i + 1, n)]
-    return ones, ones << (8 * step - 1), pairs
+    return ones, pairs
 
 
 class _SignScan:
@@ -301,56 +292,29 @@ class _SignScan:
     all entries of m and S sums m_ij * D_ij over i < j.  One int per matrix,
     neg*ones + the sum of m_ij * P_ij (n(n-1)/2 big-int multiply-adds, see
     _patterns), holds S + neg in field g for the g-th sign vector in Gray
-    order; neg is minus the sum of the negative m_ij, so a field lies in
-    [0, reach], reach = sum of |m_ij| over i < j.  A field is
-    reach.bit_length() + 1 bits rounded up to bytes, so no value reaches its
-    top (guard) bit; each test returns the guards of the vectors that pass."""
+    order; neg is minus the sum of the negative m_ij.  Every partial sum of
+    a field lies in [0, reach], reach = sum of |m_ij| over i < j, so no field
+    carries into the next; a field is reach.bit_length() // 8 + 1 bytes."""
 
     def __init__(self, ms: list[list[list[int]]]):
         self.ms = ms
         self.n = n = len(ms[0])
         upper = [[row[j] for i, row in enumerate(m) for j in range(i + 1, n)] for m in ms]
-        self.reach = max(sum(map(abs, xs)) for xs in upper)
-        self.step = self.reach.bit_length() // 8 + 1
-        self.ones, self.guards, pairs = _patterns(n, self.step)
-        self.sums = []  # (packed fields, q1, neg) per matrix
+        reach = max(sum(map(abs, xs)) for xs in upper)
+        self.step = reach.bit_length() // 8 + 1
+        ones, pairs = _patterns(n, self.step)
+        self.sums = []  # (packed fields, q1 + 4*neg) per matrix
         for m, xs in zip(ms, upper):
             neg = -sum([x for x in xs if x < 0])
-            self.sums.append((sum(map(mul, xs, pairs), neg * self.ones), sum(map(sum, m)), neg))
-
-    def equal(self, targets) -> int:
-        """Guards of the sign vectors with b^T m b == t for every matrix m and
-        its target t: a zero-field test of the fields XOR (S + neg of t)."""
-        ones, guards = self.ones, self.guards
-        hits = guards
-        for (v, q1, neg), t in zip(self.sums, targets):
-            k, rem = divmod(q1 - t, 4)
-            k += neg
-            if rem or not 0 <= k <= self.reach:
-                return 0
-            hits &= ~(((v ^ k * ones) | guards) - ones)  # a borrow clears a zero field's guard
-        return hits
-
-    def below(self, hi: int) -> int:
-        """Guards of the sign vectors with b^T m b < hi (one matrix): that is
-        S > (q1 - hi) / 4, so a field passes when it is at least low."""
-        ((v, q1, neg),) = self.sums
-        low = min(max((q1 - hi) // 4 + 1 + neg, 0), self.reach + 1)
-        return ((v | self.guards) - low * self.ones) & self.guards
-
-    def masks(self, hits: int) -> list[int]:
-        """The masks of the sign vectors whose guard is set in hits, in Gray order."""
-        step = self.step
-        guard_bytes = hits.to_bytes(step << (self.n - 1), "little")[step - 1::step]
-        return list(compress(_gray_masks(self.n), guard_bytes))
+            self.sums.append((sum(map(mul, xs, pairs), neg * ones), sum(map(sum, m)) + 4 * neg))
 
     def quads(self) -> list[list[int]]:
         """b^T m b for every sign vector in Gray order, one list per matrix."""
         step = self.step
         size = step << (self.n - 1)
         out = []
-        for v, q1, neg in self.sums:
-            raw, base = v.to_bytes(size, "little"), q1 + 4 * neg
+        for v, base in self.sums:
+            raw = v.to_bytes(size, "little")
             out.append(
                 [base - 4 * int.from_bytes(raw[i:i + step], "little") for i in range(0, size, step)]
             )
@@ -371,15 +335,11 @@ def _pd_values(mode: _Mode, det, scan: _SignScan) -> list:
     return [(ta - s * qa - d * t * qb, tb - s * qb - t * qa) for qa, qb in zip(*quads)]
 
 
-def _pd_neighbor_masks(mode: _Mode, rec: dict, scan: _SignScan, pvals=None) -> list[int]:
-    """The neighbor masks of every one-vertex extension keeping the Gram PD,
-    i.e. with P(b) > 0, in Gray order; scan is the _SignScan of rec's
-    adjugate and pvals, over Z[sqrt d], its _pd_values if already known."""
-    if not mode.d:  # over Z the test is the bound quad < corner*det / bsq (bsq > 0)
-        return scan.masks(scan.below(-(-mode.corner * rec["det"] // mode.bscale_sq)))
-    # over Z[sqrt d] the sign test needs both coordinates of P(b)
-    if pvals is None:
-        pvals = _pd_values(mode, rec["det"], scan)
+def _pd_neighbor_masks(mode: _Mode, rec: dict, scan: _SignScan, pvals: list) -> list[int]:
+    """The neighbor masks of every one-vertex extension of rec keeping the
+    Gram PD, i.e. with P(b) > 0, in Gray order; pvals are the _pd_values of
+    scan, the _SignScan of rec's adjugate.  rec itself is not read here, but
+    perfbench's tracer counts the masks tried from len(rec["adj"])."""
     d = mode.d
     return [nb for nb, p in zip(_gray_masks(scan.n), pvals) if ring_sign(p, d) > 0]
 
@@ -387,12 +347,12 @@ def _pd_neighbor_masks(mode: _Mode, rec: dict, scan: _SignScan, pvals=None) -> l
 def _pd_children(mode: _Mode, level: list[dict]):
     """Every PD one-vertex extension of the level's records, as attach_vertex
     input: (parent graph, the neighbor masks of its PD children, (scan,
-    record, P values or None)).  Each adjugate is scanned once, for its PD
-    children and for every child that starts a class; over Z[sqrt d] the P
-    values of the PD test come along, over Z they are left to the caller."""
+    record, P values)).  Each adjugate is scanned once, for its PD children,
+    for every child that starts a class and, at the final level, for the
+    totals of its children."""
     for rec in level:
         scan = _SignScan(_adj_matrices(rec))
-        pvals = _pd_values(mode, rec["det"], scan) if mode.d else None
+        pvals = _pd_values(mode, rec["det"], scan)
         yield rec["masks"], _pd_neighbor_masks(mode, rec, scan, pvals), (scan, rec, pvals)
 
 
@@ -455,15 +415,15 @@ def enumerate_pd_bases(
 
 def _candidate_data_raw(mode: _Mode, det, adj, r: int):
     """(eps, u = adjugate @ eps in integer coordinates) for every unit
-    candidate line, testing the 2^(r-1) sign vectors (root sign fixed +1) at
-    once; adj is the list of coordinate matrices of the adjugate, and u is
-    computed for the candidates only."""
-    target = _exact_quotient(_corner_times(mode, det), mode.bscale_sq, mode.d)
-    if target is None:
-        return []
-    scan = _SignScan(adj)
-    signs = [_sign_vector(nb, r) for nb in scan.masks(scan.equal(target if mode.d else [target]))]
-    return [(eps, [[sum(map(mul, row, eps)) for row in m] for m in scan.ms]) for eps in signs]
+    candidate line, i.e. every sign vector eps (root sign fixed +1) with
+    P(eps) = 0, all 2^(r-1) read off one _SignScan; adj is the list of
+    coordinate matrices of the adjugate, and u is computed for the
+    candidates only.  P(eps) = 0 is eps^T adj eps == corner*det / bscale^2,
+    so no eps passes when that quotient is not in the ring."""
+    d = mode.d
+    pvals = _pd_values(mode, det, _SignScan(adj))
+    signs = [_sign_vector(nb, r) for nb, p in zip(_gray_masks(r), pvals) if not ring_sign(p, d)]
+    return [(eps, [[sum(map(mul, row, eps)) for row in m] for m in adj]) for eps in signs]
 
 
 def candidates(seed: BasisSeed) -> CandidateSet:
@@ -476,8 +436,13 @@ def candidates(seed: BasisSeed) -> CandidateSet:
 def _compat_target(mode: _Mode, det) -> list[int] | None:
     """det / bscale in integer coordinates, or None if it is not in the ring
     (then no candidate pair is compatible)."""
-    t = _exact_quotient(det, mode.bscale, mode.d)
-    return None if t is None else list(t) if mode.d else [t]
+    if mode.d:
+        try:
+            return list(zsqrt_divide(det, mode.bscale, mode.d))
+        except ArithmeticError:
+            return None
+    t, rem = divmod(det, mode.bscale)
+    return None if rem else [t]
 
 
 def _pair_sign(tgt: list[int] | None, u_i, eps_j) -> int:
@@ -539,17 +504,14 @@ def realize(seed: BasisSeed, cands: CandidateSet, chosen: Sequence[int]) -> Equi
     return e
 
 
-def saturation_report(seed: BasisSeed, want_witness: bool = True) -> SaturationReport:
-    """Saturation total of one seed; with a witness, the clique is realized,
-    re-certified and checked to be maximal."""
+def saturation_report(seed: BasisSeed) -> SaturationReport:
+    """Saturation total of one seed, with a maximum clique as witness that
+    is realized, re-certified and checked to be maximal."""
     cands = candidates(seed)
     graph = compatibility_graph(cands)
     nc = len(cands.lines)
     if nc == 0:
         return SaturationReport(seed, 0, 0, seed.r, (), realize(seed, cands, ()))
-    if not want_witness:
-        omega = _clique_number(graph.adj, graph.n)
-        return SaturationReport(seed, nc, omega, seed.r + omega, ())
     omega, witness = max_clique(graph)
     rep = SaturationReport(
         seed, nc, omega, seed.r + omega, witness, realize(seed, cands, witness)
@@ -657,8 +619,6 @@ def _final_groups(mode: _Mode, parents: list[dict], r: int):
     for _, group in groupby(children, key=lambda child: child[0][0]):  # the scan, by identity
         group = list(group)
         scan, rec, pvals = group[0][0]
-        if pvals is None:
-            pvals = _pd_values(mode, rec["det"], scan)
         nbs = [nb for _, nb, _ in group]
         yield [tuple(masks) for *_, masks in group], (mode, rec["det"], scan.ms, pvals, nbs, r)
 
@@ -729,7 +689,7 @@ def m_alpha(
     for masks in maximizers:
         rep = saturation_report(seed_for_graph(r, alpha, Graph(r - 1, masks)))
         e = rep.realized
-        if rep.total != best or e is None or e.n != best or e.rank != r:
+        if rep.total != best or e.n != best or e.rank != r:
             raise CertificateError("maximizing seed failed re-certification")
         reports.append(rep)
     scanned = count_graph_classes(r - 1) if count_scanned else None

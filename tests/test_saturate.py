@@ -17,6 +17,7 @@ from equiangular.graphenum import count_graph_classes
 from equiangular.linalg import psd_check
 from equiangular.saturate import (
     CertificateError,
+    _Mode,
     _SignScan,
     _adj_matrices,
     _alpha_mode,
@@ -299,14 +300,23 @@ def _masks(walk):
     return [mask for mask, _, _ in walk]
 
 
+# corner = bscale = 1, so P(b) = det - b^T m b: a PD child has quad < det, a candidate quad == det
+_UNIT_MODE = _Mode(1, 1, 1)
+
+
 def _check_scan_windows(m, targets):
-    """Equality and upper-bound tests of the packed scan of m against the
-    direct products, for every target, in Gray order."""
+    """The packed scan of m against the direct products, in Gray order: its
+    quads, and for every target t taken as det under unit scaling the PD
+    children (quad < t) and the unit candidates (quad == t, with u = m b)."""
+    n = len(m)
     scan = _SignScan([m])
     assert scan.quads() == [[quad[0] for _, quad, _ in _direct_walk(m, None, None)]]
     for t in targets:
-        assert scan.masks(scan.equal([t])) == _masks(_direct_walk(m, t, t + 1))
-        assert scan.masks(scan.below(t)) == _masks(_direct_walk(m, None, t))
+        pvals = _pd_values(_UNIT_MODE, t, scan)
+        want = _masks(_direct_walk(m, None, t))
+        assert _pd_neighbor_masks(_UNIT_MODE, {"adj": m, "det": t}, scan, pvals) == want
+        hits = [(_sign_vector(mask, n), u) for mask, _, u in _direct_walk(m, t, t + 1)]
+        assert _candidate_data_raw(_UNIT_MODE, t, [m], n) == hits
 
 
 @settings(max_examples=120, deadline=None)
@@ -322,14 +332,42 @@ def test_packed_scan_matches_direct_products(m, data):
     mode = _alpha_mode(Fraction(2, 7))
     det = data.draw(st.integers(q * 4 // 7 - 2, q * 4 // 7 + 2))
     want = [mask for mask, quad, _ in full if quad[0] * mode.bscale_sq < mode.corner * det]
-    assert _pd_neighbor_masks(mode, {"adj": m, "det": det}, _SignScan([m])) == want
+    scan = _SignScan([m])
+    pvals = _pd_values(mode, det, scan)
+    assert _pd_neighbor_masks(mode, {"adj": m, "det": det}, scan, pvals) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=_symmetric_int_matrices(), data=st.data())
+def test_unit_candidates_at_two_sevenths(m, data):
+    """At angle 2/7 (corner 7, bscale^2 = 4) eps is a unit candidate when
+    quad * bscale^2 == corner * det.  The scanned matrix is 7*m, so
+    det = 4*q for a quad q of m has candidates, and a det not divisible by
+    4 has none, since corner*det / bscale^2 is then not an integer."""
+    n = len(m)
+    mode = _alpha_mode(Fraction(2, 7))
+    m7 = [[7 * x for x in row] for row in m]
+    full = _direct_walk(m7, None, None)
+    q = data.draw(st.sampled_from([quad[0] for _, quad, _ in full])) // 7
+    det = 4 * q + data.draw(st.sampled_from([0, 0, 1, 2, 3, -4, 4]))
+    want = [
+        (_sign_vector(mask, n), u)
+        for mask, quad, u in full
+        if quad[0] * mode.bscale_sq == mode.corner * det
+    ]
+    assert _candidate_data_raw(mode, det, [m7], n) == want
+    if det % 4:
+        assert want == []
+    if det == 4 * q:
+        assert want
 
 
 @pytest.mark.parametrize("reach", [2**k + e for k in (7, 8, 15, 16, 63, 64) for e in (-1, 0)])
 def test_packed_scan_at_the_guard_bit(reach):
     """Sums of |m_ij| over i < j of 2^k - 1 and 2^k, where a field of
-    reach.bit_length() + 1 bits rounded up to bytes is just wide enough or
-    gains a byte; each matrix has a sign vector whose field holds reach."""
+    reach.bit_length() // 8 + 1 bytes keeps its top (guard) bit free with
+    no byte to spare, or gains a byte; each matrix has a sign vector whose
+    field holds reach, and its quads() are checked with the scan tests."""
     third = reach // 3
     rest = reach - 2 * third
     for m in (
@@ -345,8 +383,8 @@ def test_packed_scan_at_the_guard_bit(reach):
 @given(pair=_symmetric_int_matrix_pairs(), data=st.data())
 def test_packed_scan_over_a_quadratic_ring(pair, data):
     """Over Z[sqrt 17] both coordinate matrices are scanned; a candidate
-    needs both coordinates of its quad on target, and the PD test is the
-    exact sign of corner*det - bscale^2 * quad for each sign vector."""
+    needs both coordinates of P = corner*det - bscale^2 * quad at zero, and
+    the PD test is the exact sign of P for each sign vector."""
     d = 17
     a, b = pair
     n = len(a)
@@ -358,7 +396,6 @@ def test_packed_scan_over_a_quadratic_ring(pair, data):
     g = data.draw(st.integers(0, len(quads) - 1))
     ta, tb = quads[g][0] + data.draw(st.sampled_from([0, 0, 1])), quads[g][1]
     hits = [i for i, q in enumerate(quads) if q == (ta, tb)]
-    assert scan.masks(scan.equal([ta, tb])) == [walk_a[i][0] for i in hits]
     # 1/sqrt(17) has corner = bscale^2 = 17, so the unit target is det itself
     mode = _alpha_mode(parse_scalar("1/sqrt(17)"))
     cands = _candidate_data_raw(mode, (ta, tb), [a, b], n)
@@ -375,7 +412,7 @@ def test_packed_scan_over_a_quadratic_ring(pair, data):
         if quad_sign(thresh - bsq * ring_to_scalar(q, d)) > 0
     ]
     rec = {"adj": a, "adj_sqrt": b, "det": det}
-    assert _pd_neighbor_masks(mode, rec, _SignScan([a, b])) == want
+    assert _pd_neighbor_masks(mode, rec, scan, _pd_values(mode, det, scan)) == want
 
 
 def test_a_wrong_realized_set_fails_re_certification(monkeypatch):
@@ -490,7 +527,9 @@ def test_coordinate_record_update_matches_the_zsqrt_update(d, general, nbs):
 def test_search_and_psd_checks_run_under_optimize():
     """Under python -O the saturation search still gives its pinned results
     (the re-certification of maximizing seeds included), over Z and over
-    Z[sqrt 13], and an indefinite Gram still raises, over Q and Q(sqrt 17)."""
+    Z[sqrt 13], and an indefinite Gram still raises, over Q and Q(sqrt 17).
+    At 2/7 (bscale = 2) all 57 seeds tie, so each is re-certified through
+    the unit-candidate test P(eps) = 0 with bscale^2 = 4."""
     import equiangular
 
     code = """
@@ -501,9 +540,10 @@ from equiangular.saturate import m_alpha
 from equiangular.seidel import EquiangularSet, SeidelMatrix
 assert False, "assert statements must be stripped"
 out = {}
-for r, alpha in ((8, "1/3"), (8, "1/5"), (7, "1/sqrt(13)")):
+for r, alpha in ((8, "1/3"), (8, "1/5"), (7, "1/sqrt(13)"), (7, "2/7")):
     rep = m_alpha(r, parse_scalar(alpha))
-    out[alpha] = [rep.value, rep.certificate["seeds"], rep.certificate["totals_histogram"]]
+    c = rep.certificate
+    out[alpha] = [rep.value, c["seeds"], c["totals_histogram"], len(c["maximizing_seeds"])]
 for n, alpha in ((5, "1/3"), (6, "1/sqrt(17)")):
     # I + A*alpha with A = I - J has the eigenvalue 1 - (n - 1)*alpha < 0
     minus = SeidelMatrix(tuple(tuple(0 if i == j else -1 for j in range(n)) for i in range(n)))
@@ -522,9 +562,10 @@ print(json.dumps([sys.flags.optimize, out]))
     assert proc.returncode == 0, proc.stderr
     optimize, out = json.loads(proc.stdout)
     assert optimize == 1
-    assert out["1/3"] == [14, 3, {"8": 1, "14": 2}]
-    assert out["1/5"] == [10, 924, {"8": 627, "9": 264, "10": 33}]
-    assert out["1/sqrt(13)"] == [14, 75, {"7": 43, "8": 4, "14": 28}]
+    assert out["1/3"] == [14, 3, {"8": 1, "14": 2}, 2]
+    assert out["1/5"] == [10, 924, {"8": 627, "9": 264, "10": 33}, 33]
+    assert out["1/sqrt(13)"] == [14, 75, {"7": 43, "8": 4, "14": 28}, 28]
+    assert out["2/7"] == [7, 57, {"7": 57}, 57]
     assert "not positive semidefinite" in out["indefinite 1/3"]
     assert "not positive semidefinite" in out["indefinite 1/sqrt(17)"]
 
