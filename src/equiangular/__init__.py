@@ -1,8 +1,8 @@
 """Exact computations with equiangular line systems.
 
 Submodules:
-  exactnum       rationals, quadratic extensions Q(sqrt d), integer polynomials
-  linalg         exact symmetric-matrix algebra with PSD certificates
+  exactnum       rationals, quadratic extensions Q(sqrt d), the Z / Z[sqrt d] ring layer
+  linalg         exact PSD certificates and ranks of symmetric matrices
   seidel         Seidel matrices, switching, clique number, base size
   pillars        pillar decompositions and the (K,1) closed-form geometry
   bounds         coexistence / caps-table / base-size / Neumann / relative bounds
@@ -11,7 +11,7 @@ Submodules:
   cli            the `equiangular` command-line driver
 """
 
-from equiangular.exactnum import Fraction, IntPoly, QuadExt, quad_sign
+from equiangular.exactnum import Fraction, QuadExt, quad_sign
 from equiangular.linalg import PsdCertificate, SymMatrix, psd_check, rank_of
 from equiangular.seidel import (
     EquiangularSet,
@@ -24,7 +24,6 @@ from equiangular.seidel import (
 
 __all__ = [
     "Fraction",
-    "IntPoly",
     "QuadExt",
     "quad_sign",
     "PsdCertificate",

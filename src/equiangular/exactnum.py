@@ -1,5 +1,5 @@
-"""Exact scalars: rationals, real quadratic extensions Q(sqrt d), integer polynomials,
-and the one exact ring layer Z / Z[sqrt d].
+"""Exact scalars: rationals, real quadratic extensions Q(sqrt d), and the one
+exact ring layer Z / Z[sqrt d].
 
 All downstream matrix work (PSD certificates, ranks, bound enumerations) runs on
 these types; no floating point enters any decision.  Rationals are represented by
@@ -339,104 +339,3 @@ def parse_scalar(s: str) -> Scalar:
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in the scalar {s!r}") from None
 
-
-# -- integer polynomials ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntPoly:
-    """Polynomial with integer coefficients, stored low-to-high degree.
-
-    The zero polynomial has an empty coefficient tuple; otherwise the leading
-    coefficient is nonzero.
-    """
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        c = tuple(int(v) for v in self.coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return IntPoly(tuple(out))
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-v for v in self.coeffs))
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        return poly_mul(self, other)
-
-    def __pow__(self, k: int) -> "IntPoly":
-        return poly_pow(self, k)
-
-    def __call__(self, x: Scalar) -> Scalar:
-        return poly_eval(self, x)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            term = "x" if i == 1 else (f"x^{i}" if i else "")
-            mag = "" if (abs(c) == 1 and i) else str(abs(c))
-            body = mag + ("*" if mag and term else "") + term
-            parts.append(("- " if c < 0 else "+ ") + body)
-        s = " ".join(parts)
-        return s[2:] if s.startswith("+ ") else "-" + s[2:]
-
-
-def poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
-    if not p or not q:
-        return IntPoly(())
-    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(q.coeffs):
-            out[i + j] += a * b
-    return IntPoly(tuple(out))
-
-
-def poly_pow(p: IntPoly, k: int) -> IntPoly:
-    if k < 0:
-        raise ValueError("nonnegative exponent required")
-    result = IntPoly((1,))
-    base = p
-    while k:
-        if k & 1:
-            result = poly_mul(result, base)
-        base = poly_mul(base, base)
-        k >>= 1
-    return result
-
-
-def poly_eval(p: IntPoly, x: Scalar) -> Scalar:
-    """Horner evaluation; supports int, Fraction and QuadExt arguments."""
-    acc: Scalar = Fraction(0) if not isinstance(x, QuadExt) else QuadExt(Fraction(0), Fraction(0), x.d)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
-
-
-X = IntPoly((0, 1))

@@ -286,18 +286,14 @@ def attach_vertex(k: int, groups: Iterable[tuple]) -> Iterator[tuple]:
                 yield payload, nb, na
 
 
-def extend_classes(parents: Iterable[AdjList], k: int) -> list[AdjList]:
-    """All (k+1)-vertex classes reachable by adding one vertex to the parents."""
-    masks = range(1 << k)
-    return [na for *_, na in attach_vertex(k, ((adj, masks, None) for adj in parents))]
-
-
 def graph_classes(n: int) -> list[Graph]:
     """All isomorphism classes of graphs on n vertices (1, 2, 4, 11, 34, 156,
-    1044, 12346, ... for n = 1, 2, 3, ...)."""
+    1044, 12346, ... for n = 1, 2, 3, ...): the classes on k + 1 vertices are
+    those reachable by adding one vertex to the classes on k."""
     classes: list[AdjList] = [[0]]
     for k in range(1, n):
-        classes = extend_classes(classes, k)
+        masks = range(1 << k)
+        classes = [na for *_, na in attach_vertex(k, ((adj, masks, None) for adj in classes))]
     return [Graph(n, tuple(adj)) for adj in classes]
 
 

@@ -1,5 +1,5 @@
-"""Exact symmetric-matrix algebra: PSD certificates, Schur complements, ranks,
-characteristic polynomials, and closed forms for aI + bJ matrices.
+"""Exact symmetric-matrix algebra: PSD certificates and ranks, both built on one
+fraction-free row step.
 
 The PSD decision runs a symmetric elimination with diagonal pivoting.  The
 matrix is first scaled into a ring, Z for rational entries and Z[sqrt d] for
@@ -25,7 +25,6 @@ from math import lcm
 from typing import Sequence
 
 from equiangular.exactnum import (
-    IntPoly,
     QuadExt,
     Scalar,
     format_scalar,
@@ -72,10 +71,6 @@ class SymMatrix:
     @classmethod
     def identity(cls, n: int) -> "SymMatrix":
         return cls.aI_bJ(Fraction(1), Fraction(0), n)
-
-    @classmethod
-    def all_ones(cls, n: int) -> "SymMatrix":
-        return cls.aI_bJ(Fraction(0), Fraction(1), n)
 
     @classmethod
     def aI_bJ(cls, a: Scalar, b: Scalar, n: int) -> "SymMatrix":
@@ -302,118 +297,3 @@ def rank_of(M: SymMatrix) -> int:
             for m, up in zip(ms, rows_step(a, c, prev, [m[x] for m in ms], ys, d)):
                 m[x] = up
         prev = a
-
-
-def solve(M: SymMatrix, rhs_columns: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """Solve M X = B exactly for invertible M; rhs_columns lists the columns of
-    B, and the returned list holds the columns of X."""
-    n = M.n
-    a = [list(r) for r in M.rows]
-    b = [list(c) for c in rhs_columns]
-    perm = list(range(n))
-    for k in range(n):
-        p = next((i for i in range(k, n) if quad_sign(a[perm[i]][k]) != 0), None)
-        if p is None:
-            raise ValueError("singular matrix")
-        perm[k], perm[p] = perm[p], perm[k]
-        pk = perm[k]
-        piv = a[pk][k]
-        for i in range(k + 1, n):
-            pi = perm[i]
-            f = a[pi][k] / piv
-            if quad_sign(f) == 0:
-                continue
-            for j in range(k, n):
-                a[pi][j] = a[pi][j] - f * a[pk][j]
-            for c in b:
-                c[pi] = c[pi] - f * c[pk]
-    out = []
-    for c in b:
-        x = [Fraction(0)] * n
-        for k in range(n - 1, -1, -1):
-            pk = perm[k]
-            acc = c[pk]
-            for j in range(k + 1, n):
-                acc = acc - a[pk][j] * x[j]
-            x[k] = acc / a[pk][k]
-        out.append(x)
-    return out
-
-
-def inverse(M: SymMatrix) -> list[list[Scalar]]:
-    """Exact inverse as a list of rows (the inverse of a symmetric matrix is
-    symmetric, so columns equal rows)."""
-    n = M.n
-    cols = [[Fraction(1) if i == j else Fraction(0) for i in range(n)] for j in range(n)]
-    return solve(M, cols)
-
-
-def schur_complement(M: SymMatrix, block_size: int) -> SymMatrix:
-    """C - B^T A^{-1} B for the leading block A of the given size; rejects
-    inputs whose leading block is not positive definite (caller must reorder)."""
-    k, n = block_size, M.n
-    if not 0 < k < n:
-        raise ValueError("block size must split the matrix")
-    A = M.submatrix(range(k))
-    if psd_check(A).verdict != POSITIVE_DEFINITE:
-        raise ValueError("leading block is not positive definite")
-    b_cols = [[M.rows[i][j] for i in range(k)] for j in range(k, n)]
-    x_cols = solve(A, b_cols)  # A^{-1} B, one column per trailing index
-    out = []
-    for i in range(k, n):
-        row = []
-        for j in range(k, n):
-            acc = M.rows[i][j]
-            xc = x_cols[j - k]
-            for t in range(k):
-                acc = acc - M.rows[i][t] * xc[t]
-            row.append(acc)
-        out.append(row)
-    return SymMatrix(out)
-
-
-def aI_bJ_inverse(a: Scalar, b: Scalar, k: int) -> tuple[Scalar, Scalar]:
-    """Coefficients (a', b') with (aI + bJ_k)(a'I + b'J_k) = I."""
-    a = _coerce_entry(a)
-    b = _coerce_entry(b)
-    if quad_sign(a) == 0:
-        raise ValueError("singular: a = 0")
-    if quad_sign(a + k * b) == 0:
-        raise ValueError(f"singular: a + {k}b = 0")
-    a2 = 1 / a
-    b2 = -b / (a * (a + k * b))
-    return a2, b2
-
-
-def char_poly(M: SymMatrix) -> IntPoly:
-    """Characteristic polynomial of an integer symmetric matrix, monic of
-    degree n, computed by the integer-preserving Faddeev-LeVerrier recurrence."""
-    (a, *_), c, d = M.integral_scaled()
-    if c != 1 or d:
-        raise ValueError("integer entries required")
-    n = M.n
-    coeffs = [1]  # c_0 = 1 for x^n
-    mk = [row[:] for row in a]
-    cs = []
-    for k in range(1, n + 1):
-        tr = sum(mk[i][i] for i in range(n))
-        if tr % k:
-            raise AssertionError(f"trace {tr} of step {k} is not divisible by {k}")
-        ck = -tr // k
-        cs.append(ck)
-        if k == n:
-            break
-        nxt = [[mk[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
-        mk = _int_matmul(a, nxt)
-    # char(x) = x^n + c_1 x^{n-1} + ... + c_n
-    return IntPoly(tuple(reversed([1] + cs)))
-
-
-def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    bt = [[b[i][j] for i in range(n)] for j in range(n)]
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def nullity(M: SymMatrix) -> int:
-    return M.n - rank_of(M)

@@ -294,14 +294,15 @@ class _SignScan:
     _patterns), holds S + neg in field g for the g-th sign vector in Gray
     order; neg is minus the sum of the negative m_ij.  Every partial sum of
     a field lies in [0, reach], reach = sum of |m_ij| over i < j, so no field
-    carries into the next; a field is reach.bit_length() // 8 + 1 bytes."""
+    carries into the next; a field is the least whole number of bytes that
+    holds reach, and at least one (reach is 0 for a 1x1 matrix)."""
 
     def __init__(self, ms: list[list[list[int]]]):
         self.ms = ms
         self.n = n = len(ms[0])
         upper = [[row[j] for i, row in enumerate(m) for j in range(i + 1, n)] for m in ms]
         reach = max(sum(map(abs, xs)) for xs in upper)
-        self.step = reach.bit_length() // 8 + 1
+        self.step = max(1, (reach.bit_length() + 7) // 8)
         ones, pairs = _patterns(n, self.step)
         self.sums = []  # (packed fields, q1 + 4*neg) per matrix
         for m, xs in zip(ms, upper):

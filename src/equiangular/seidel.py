@@ -84,10 +84,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return [(v, u) for v in range(self.n) for u in bits(self.adj[v]) if u > v]
 
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph(self.n, tuple((full ^ self.adj[v]) & ~(1 << v) for v in range(self.n)))
-
     def induced(self, vertices: Sequence[int]) -> "Graph":
         vs = list(vertices)
         pos = {v: i for i, v in enumerate(vs)}
@@ -323,9 +319,6 @@ class SeidelMatrix:
                     adj[j] |= 1 << i
         return Graph(n, tuple(adj))
 
-    def char_poly(self):
-        return linalg.char_poly(SymMatrix(self.rows))
-
 
 @dataclass(frozen=True)
 class SwitchingOp:
@@ -441,11 +434,6 @@ class EquiangularSet:
 
     def __repr__(self):
         return f"EquiangularSet(n={self.n}, alpha={format_scalar(self.alpha)}, rank={self.rank})"
-
-
-def seidel_graph(e: EquiangularSet) -> Graph:
-    """Graph with an edge wherever the inner product is -alpha."""
-    return e.seidel.graph()
 
 
 def switch(e: EquiangularSet, op: SwitchingOp) -> EquiangularSet:

@@ -341,8 +341,6 @@ def test_neumann_candidates_match_printed_list():
 
 
 def test_neumann_candidate_identities():
-    from equiangular.exactnum import IntPoly, poly_eval
-
     for cand in neumann_candidates(14, 8):
         assert 6 * cand.c1 + cand.c3 == 0
         assert 6 * (cand.c1**2 - 2 * cand.c2) + (cand.c3**2 - 2 * cand.c4) == 182
@@ -351,8 +349,7 @@ def test_neumann_candidate_identities():
         assert s * s != cand.delta
         assert cand.c3**2 - 4 * cand.c4 >= 0
         a, a_star = cand.root_pair()
-        poly = IntPoly((cand.c2, -cand.c1, 1))
-        assert poly_eval(poly, a) == 0 and poly_eval(poly, a_star) == 0
+        assert all(x * x - cand.c1 * x + cand.c2 == 0 for x in (a, a_star))
         assert a < a_star
 
 

@@ -11,13 +11,9 @@ from hypothesis import strategies as st
 
 import equiangular
 from equiangular.exactnum import (
-    IntPoly,
     QuadExt,
     format_scalar,
     parse_scalar,
-    poly_eval,
-    poly_mul,
-    poly_pow,
     quad_sign,
     ring_sign,
     ring_to_scalar,
@@ -105,36 +101,6 @@ def test_quadext_mixed_radicand_rejected():
         QuadExt(1, 1, 2) + QuadExt(1, 1, 3)
     # rational-valued QuadExt mixes fine
     assert QuadExt(2, 0, 2) * QuadExt(1, 1, 3) == QuadExt(2, 2, 3)
-
-
-def test_poly_examples():
-    x_minus = IntPoly((-1, 1))
-    x_plus = IntPoly((1, 1))
-    assert poly_mul(x_minus, x_plus) == IntPoly((-1, 0, 1))
-    assert poly_eval(IntPoly((-17, 0, 1)), QuadExt(0, 1, 17)) == 0
-
-
-def test_poly_eval_is_ring_homomorphism():
-    rng = random.Random(3)
-    for _ in range(300):
-        p = IntPoly(tuple(rng.randrange(-6, 7) for _ in range(rng.randrange(1, 7))))
-        q = IntPoly(tuple(rng.randrange(-6, 7) for _ in range(rng.randrange(1, 7))))
-        x = Fraction(rng.randrange(-8, 9), rng.randrange(1, 5))
-        assert poly_eval(poly_mul(p, q), x) == poly_eval(p, x) * poly_eval(q, x)
-        assert poly_eval(p + q, x) == poly_eval(p, x) + poly_eval(q, x)
-    assert poly_pow(IntPoly((1, 1)), 3) == IntPoly((1, 3, 3, 1))
-
-
-def test_poly_mul_against_bruteforce_expansion():
-    rng = random.Random(4)
-    for _ in range(200):
-        a = [rng.randrange(-5, 6) for _ in range(rng.randrange(1, 7))]
-        b = [rng.randrange(-5, 6) for _ in range(rng.randrange(1, 7))]
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        assert poly_mul(IntPoly(tuple(a)), IntPoly(tuple(b))) == IntPoly(tuple(out))
 
 
 def test_serialization_round_trip():

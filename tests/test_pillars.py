@@ -3,18 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from equiangular.linalg import SymMatrix, solve
+from equiangular.linalg import SymMatrix
 from equiangular.pillars import (
-    K1Geometry,
-    SignVector,
     decompose,
     k1_geometry,
     k3_geometry,
     normalize_sign_vector,
     sign_vector,
 )
-from equiangular.seidel import EquiangularSet, SeidelMatrix, SwitchingOp, base_size, switch
+from equiangular.seidel import EquiangularSet, SeidelMatrix, base_size, switch
 
 
 def base_gram(k: int, alpha: Fraction) -> SymMatrix:
@@ -22,10 +21,11 @@ def base_gram(k: int, alpha: Fraction) -> SymMatrix:
 
 
 def h_coefficients(k: int, alpha: Fraction, eps) -> list:
-    """Solve G c = alpha*eps for the base-span component coefficients."""
+    """Solve G c = alpha*eps for the base-span component coefficients (by
+    sympy, an oracle independent of the closed forms under test)."""
     g = base_gram(k, alpha)
-    col = [[alpha * e for e in eps]]
-    return solve(g, col)[0]
+    c = sympy.Matrix(g.rows).LUsolve(sympy.Matrix([alpha * e for e in eps]))
+    return [Fraction(int(x.p), int(x.q)) for x in c]
 
 
 def pair_h_inner(k, alpha, eps1, eps2):

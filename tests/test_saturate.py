@@ -364,10 +364,12 @@ def test_unit_candidates_at_two_sevenths(m, data):
 
 @pytest.mark.parametrize("reach", [2**k + e for k in (7, 8, 15, 16, 63, 64) for e in (-1, 0)])
 def test_packed_scan_at_the_guard_bit(reach):
-    """Sums of |m_ij| over i < j of 2^k - 1 and 2^k, where a field of
-    reach.bit_length() // 8 + 1 bytes keeps its top (guard) bit free with
-    no byte to spare, or gains a byte; each matrix has a sign vector whose
-    field holds reach, and its quads() are checked with the scan tests."""
+    """Sums of |m_ij| over i < j of 2^k - 1 and 2^k at the byte boundaries
+    of a field (the least whole number of bytes that holds reach): for k a
+    multiple of 8 the field is full at 2^k - 1 and gains a byte at 2^k; for
+    k = 7, 15, 63 the top bit of the field is first used at 2^k.  Each
+    matrix has a sign vector whose field holds reach, and its quads() are
+    checked with the scan tests."""
     third = reach // 3
     rest = reach - 2 * third
     for m in (
