@@ -1,9 +1,9 @@
 """Isomorphism-class enumeration of small graphs by layered extension.
 
 Each n-vertex class is grown from an (n-1)-vertex class by attaching one new
-vertex (``attach_vertex``, one ladder step); duplicates are removed with
-color-refinement invariants plus an exact backtracking isomorphism test.  Three
-filters keep the candidate stream small:
+vertex (``attach_vertex``, per parent, into a ``ClassSet`` shared by a ladder
+step); duplicates are removed with color-refinement invariants plus an exact
+backtracking isomorphism test.  Three filters keep the candidate stream small:
 
 * a completeness-preserving representative rule (the new vertex must land in
   the minimum refinement color: deleting a minimum-color vertex of any target
@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from operator import lshift, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from equiangular.seidel import Graph, bits
 
@@ -240,12 +240,14 @@ def _twin_pairs(adj: Sequence[int]) -> list[int]:
     ]
 
 
-def attach_vertex(k: int, groups: Iterable[tuple]) -> Iterator[tuple]:
-    """One ladder step.  ``groups`` yields, parent by parent, (parent
-    adjacency on k vertices, neighbor masks of the new vertex k, payload);
-    yields (payload, nb, child adjacency) for each child that obeys the
-    representative rule and starts a new (k+1)-vertex isomorphism class, in
-    input order.
+def attach_vertex(
+    classes: ClassSet, adj: Sequence[int], nbs: Iterable[int]
+) -> list[tuple[int, AdjList]]:
+    """One parent's part of a ladder step: (nb, child adjacency) for each
+    neighbor mask nb of the new vertex k, in the order of ``nbs``, whose
+    child of ``adj`` (k vertices) obeys the representative rule and starts a
+    new class in ``classes``, the caller's duplicate filter on k + 1
+    vertices shared by every parent of the step (the child is added to it).
 
     The degree form of the rule costs O(1) per child: with below[t] the mask
     of the parent's vertices of degree < t, a new vertex of degree deg > 0
@@ -260,40 +262,41 @@ def attach_vertex(k: int, groups: Iterable[tuple]) -> Iterator[tuple]:
     children (new vertex fixed) one verdict, so a child whose twin image
     passed the degree rule earlier would be rejected anyway: it is skipped
     before refinement, and the output is the same for any masks in any order."""
-    classes = ClassSet(k + 1)
-    for adj, nbs, payload in groups:
-        below = [0] * (k + 2)
-        for v, a in enumerate(adj):
-            for t in range(a.bit_count() + 1, k + 2):
-                below[t] |= 1 << v
-        twins = _twin_pairs(adj)
-        seen = set()  # the masks that passed the degree rule, if twins exist
-        for nb in nbs:
-            deg = nb.bit_count()
-            if deg and (below[deg - 1] or below[deg] & ~nb):
-                continue  # representative rule, by degree: color 0 has minimum degree
-            if twins:
-                known = any(nb ^ t in seen for t in twins if nb & t != t and nb & t)
-                seen.add(nb)
-                if known:
-                    continue  # a twin swap maps this child onto an earlier one
-            na = [a | ((nb >> i & 1) << k) for i, a in enumerate(adj)]
-            na.append(nb)
-            col = refine_colors(k + 1, na, _watch=k)
-            if col[k] != 0:
-                continue  # representative rule: new vertex must be of minimum color
-            if classes.add(na, col):
-                yield payload, nb, na
+    k = len(adj)
+    below = [0] * (k + 2)
+    for v, a in enumerate(adj):
+        for t in range(a.bit_count() + 1, k + 2):
+            below[t] |= 1 << v
+    twins = _twin_pairs(adj)
+    seen = set()  # the masks that passed the degree rule, if twins exist
+    out = []
+    for nb in nbs:
+        deg = nb.bit_count()
+        if deg and (below[deg - 1] or below[deg] & ~nb):
+            continue  # representative rule, by degree: color 0 has minimum degree
+        if twins:
+            known = any(nb ^ t in seen for t in twins if nb & t != t and nb & t)
+            seen.add(nb)
+            if known:
+                continue  # a twin swap maps this child onto an earlier one
+        na = [a | ((nb >> i & 1) << k) for i, a in enumerate(adj)]
+        na.append(nb)
+        col = refine_colors(k + 1, na, _watch=k)
+        if col[k] != 0:
+            continue  # representative rule: new vertex must be of minimum color
+        if classes.add(na, col):
+            out.append((nb, na))
+    return out
 
 
 def graph_classes(n: int) -> list[Graph]:
     """All isomorphism classes of graphs on n vertices (1, 2, 4, 11, 34, 156,
     1044, 12346, ... for n = 1, 2, 3, ...): the classes on k + 1 vertices are
-    those reachable by adding one vertex to the classes on k."""
+    those reachable by adding one vertex, by every mask, to the classes on k."""
     classes: list[AdjList] = [[0]]
     for k in range(1, n):
-        masks = range(1 << k)
-        classes = [na for *_, na in attach_vertex(k, ((adj, masks, None) for adj in classes))]
+        found = ClassSet(k + 1)
+        classes = [na for adj in classes for _, na in attach_vertex(found, adj, range(1 << k))]
     return [Graph(n, tuple(adj)) for adj in classes]
 
 

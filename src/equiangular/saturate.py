@@ -32,8 +32,8 @@ The first two tests are the sign of one ring element,
 P(eps) = corner*det - bscale^2 * (eps^T adj eps): eps gives a PD child when
 P(eps) > 0 and a unit candidate line when P(eps) = 0 (the ring has no zero
 divisors and bscale != 0).  eps^T adj eps comes for all 2^(n-1) sign vectors
-of an n x n adjugate at once (_SignScan), on the integer coordinates of the
-ring: one integer matrix over Z, two over Z[sqrt d].  eps^T m eps is an
+of an n x n adjugate at once (_sign_quads), on the integer coordinates of
+the ring: one integer matrix over Z, two over Z[sqrt d].  eps^T m eps is an
 affine function of the pairwise sign differences, so it is n(n-1)/2 big-int
 multiply-adds of fixed 0/1 patterns into one int of fixed-width fields, one
 field per sign vector in Gray order, unpacked into one value per sign
@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import groupby, islice
+from itertools import islice
 from math import isqrt, lcm
 from operator import add, mul, neg
 from typing import Sequence
@@ -77,7 +77,7 @@ from equiangular.exactnum import (
     zsqrt_divide,
     zsqrt_mul,
 )
-from equiangular.graphenum import attach_vertex, count_graph_classes, find_isomorphism
+from equiangular.graphenum import ClassSet, attach_vertex, count_graph_classes, find_isomorphism
 from equiangular.linalg import SymMatrix
 from equiangular.seidel import (
     EquiangularSet,
@@ -194,11 +194,8 @@ class SaturationReport:
 
 @dataclass
 class EnumerationResult:
-    r: int
-    alpha: Scalar
     seeds: list[BasisSeed]
-    classes_scanned: int | None  # all (r-1)-vertex classes, when counted
-    pruned: bool
+    classes_scanned: int | None  # all (r-1)-vertex classes, counted up to rank 8
 
 
 # -- incremental ladder ---------------------------------------------------------
@@ -284,9 +281,10 @@ def _patterns(n: int, step: int) -> tuple[int, list[int]]:
     return ones, pairs
 
 
-class _SignScan:
-    """b^T m b for all 2^(n-1) sign vectors b (b[0] = +1) of the integer
-    coordinate matrices ms of a ring matrix (one over Z, two over Z[sqrt d]).
+def _sign_quads(ms: list[list[list[int]]]) -> list[list[int]]:
+    """b^T m b for all 2^(n-1) sign vectors b (b[0] = +1) in Gray order, one
+    list per integer coordinate matrix m of a ring matrix (one over Z, two
+    over Z[sqrt d]).
 
     With D_ij = 1 where b[i] != b[j], b^T m b = q1 - 4*S(b), where q1 sums
     all entries of m and S sums m_ij * D_ij over i < j.  One int per matrix,
@@ -296,65 +294,61 @@ class _SignScan:
     a field lies in [0, reach], reach = sum of |m_ij| over i < j, so no field
     carries into the next; a field is the least whole number of bytes that
     holds reach, and at least one (reach is 0 for a 1x1 matrix)."""
-
-    def __init__(self, ms: list[list[list[int]]]):
-        self.ms = ms
-        self.n = n = len(ms[0])
-        upper = [[row[j] for i, row in enumerate(m) for j in range(i + 1, n)] for m in ms]
-        reach = max(sum(map(abs, xs)) for xs in upper)
-        self.step = max(1, (reach.bit_length() + 7) // 8)
-        ones, pairs = _patterns(n, self.step)
-        self.sums = []  # (packed fields, q1 + 4*neg) per matrix
-        for m, xs in zip(ms, upper):
-            neg = -sum([x for x in xs if x < 0])
-            self.sums.append((sum(map(mul, xs, pairs), neg * ones), sum(map(sum, m)) + 4 * neg))
-
-    def quads(self) -> list[list[int]]:
-        """b^T m b for every sign vector in Gray order, one list per matrix."""
-        step = self.step
-        size = step << (self.n - 1)
-        out = []
-        for v, base in self.sums:
-            raw = v.to_bytes(size, "little")
-            out.append(
-                [base - 4 * int.from_bytes(raw[i:i + step], "little") for i in range(0, size, step)]
-            )
-        return out
+    n = len(ms[0])
+    upper = [[row[j] for i, row in enumerate(m) for j in range(i + 1, n)] for m in ms]
+    reach = max(sum(map(abs, xs)) for xs in upper)
+    step = max(1, (reach.bit_length() + 7) // 8)
+    size = step << (n - 1)
+    ones, pairs = _patterns(n, step)
+    out = []
+    for m, xs in zip(ms, upper):
+        neg = -sum([x for x in xs if x < 0])
+        base = sum(map(sum, m)) + 4 * neg  # q1 + 4*neg
+        raw = sum(map(mul, xs, pairs), neg * ones).to_bytes(size, "little")
+        out.append(
+            [base - 4 * int.from_bytes(raw[i:i + step], "little") for i in range(0, size, step)]
+        )
+    return out
 
 
 def _sign_vector(mask: int, n: int) -> tuple[int, ...]:
     return (1,) + tuple(-1 if mask >> i & 1 else 1 for i in range(n - 1))
 
 
-def _pd_values(mode: _Mode, det, scan: _SignScan) -> list:
+def _pd_values(mode: _Mode, det, ms: list) -> list:
     """P(b) = corner*det - bscale^2 * b^T adj b for every sign vector b in
-    Gray order, in integer coordinates: the scaled det of the child of b."""
-    quads, thresh, d = scan.quads(), _corner_times(mode, det), mode.d
+    Gray order, in integer coordinates, from the coordinate matrices ms of
+    adj: the scaled det of the child of b."""
+    quads, thresh, d = _sign_quads(ms), _corner_times(mode, det), mode.d
     if not d:
         return [thresh - mode.bscale_sq * q for q in quads[0]]
     (ta, tb), (s, t) = thresh, mode.bscale_sq
     return [(ta - s * qa - d * t * qb, tb - s * qb - t * qa) for qa, qb in zip(*quads)]
 
 
-def _pd_neighbor_masks(mode: _Mode, rec: dict, scan: _SignScan, pvals: list) -> list[int]:
+def _pd_neighbor_masks(mode: _Mode, rec: dict, pvals: list) -> list[int]:
     """The neighbor masks of every one-vertex extension of rec keeping the
     Gram PD, i.e. with P(b) > 0, in Gray order; pvals are the _pd_values of
-    scan, the _SignScan of rec's adjugate.  rec itself is not read here, but
-    perfbench's tracer counts the masks tried from len(rec["adj"])."""
+    rec's adjugate."""
     d = mode.d
-    return [nb for nb, p in zip(_gray_masks(scan.n), pvals) if ring_sign(p, d) > 0]
+    return [nb for nb, p in zip(_gray_masks(len(rec["adj"])), pvals) if ring_sign(p, d) > 0]
 
 
-def _pd_children(mode: _Mode, level: list[dict]):
-    """Every PD one-vertex extension of the level's records, as attach_vertex
-    input: (parent graph, the neighbor masks of its PD children, (scan,
-    record, P values)).  Each adjugate is scanned once, for its PD children,
-    for every child that starts a class and, at the final level, for the
-    totals of its children."""
+def _pd_step(mode: _Mode, level: list[dict], k: int):
+    """One ladder step from a level of records on k graph vertices: per
+    record, (rec, the coordinate matrices ms of its adjugate, their
+    _pd_values, the neighbor masks of its PD children that start a new
+    class, in Gray order), skipping records with no such child.  Each
+    adjugate is scanned once, for its PD children and, at the final level,
+    for the totals of its children."""
+    classes = ClassSet(k + 1)
     for rec in level:
-        scan = _SignScan(_adj_matrices(rec))
-        pvals = _pd_values(mode, rec["det"], scan)
-        yield rec["masks"], _pd_neighbor_masks(mode, rec, scan, pvals), (scan, rec, pvals)
+        ms = _adj_matrices(rec)
+        pvals = _pd_values(mode, rec["det"], ms)
+        pd_masks = _pd_neighbor_masks(mode, rec, pvals)
+        nbs = [nb for nb, _ in attach_vertex(classes, rec["masks"], pd_masks)]
+        if nbs:
+            yield rec, ms, pvals, nbs
 
 
 def _pd_ladder(mode: _Mode, graph_size: int) -> list[dict]:
@@ -362,8 +356,9 @@ def _pd_ladder(mode: _Mode, graph_size: int) -> list[dict]:
     level = [_root_record(mode)]
     for k in range(graph_size):
         level = [
-            _extend_record(mode, rec, nb, scan.ms)
-            for (scan, rec, _), nb, _ in attach_vertex(k, _pd_children(mode, level))
+            _extend_record(mode, rec, nb, ms)
+            for rec, ms, _, nbs in _pd_step(mode, level, k)
+            for nb in nbs
         ]
     return level
 
@@ -376,39 +371,46 @@ def _quad_u(ms: list, nb: int):
     return [sum(map(mul, u, b)) for u in us], us
 
 
+def _child_seed(r: int, alpha: Scalar, mode: _Mode, rec: dict, nb: int) -> BasisSeed:
+    """The rank-r basis seed of the child of rec (a record on r-2 graph
+    vertices, reached through positive dets) with neighbor mask nb, from one
+    _extend_record step.  Its det is the last leading principal minor of the
+    scaled Gram, so CertificateError is raised unless it is positive."""
+    child = _extend_record(mode, rec, nb, _adj_matrices(rec))
+    if ring_sign(child["det"], mode.d) <= 0:
+        raise CertificateError("the basis Gram is not positive definite")
+    graph = Graph(r - 1, tuple(child["masks"]))
+    return BasisSeed(r, alpha, graph, mode, child["det"], _adj_matrices(child))
+
+
 def seed_for_graph(r: int, alpha: Scalar, graph: Graph) -> BasisSeed:
-    """The basis seed of a non-root graph on r-1 vertices, its det and
-    adjugate rebuilt one vertex at a time.  The dets are the leading
-    principal minors of the scaled Gram, so CertificateError is raised
-    unless every one is positive (the Gram is PD)."""
+    """The basis seed of a non-root graph on r-1 vertices (graph6 input),
+    its det and adjugate rebuilt one vertex at a time.  The dets are the
+    leading principal minors of the scaled Gram, so CertificateError is
+    raised unless every one is positive (the Gram is PD)."""
     if graph.n != r - 1:
         raise ValueError(f"a rank-{r} seed needs a graph on {r - 1} vertices, got {graph.n}")
     mode = _alpha_mode(alpha)
     rec = _root_record(mode)
-    for k, row in enumerate(graph.adj):
+    for k, row in enumerate(graph.adj[:-1]):
         rec = _extend_record(mode, rec, row & ((1 << k) - 1), _adj_matrices(rec))
         if ring_sign(rec["det"], mode.d) <= 0:
             raise CertificateError("the basis Gram is not positive definite")
-    return BasisSeed(r, alpha, graph, mode, rec["det"], _adj_matrices(rec))
+    return _child_seed(r, alpha, mode, rec, graph.adj[-1] & ((1 << (r - 2)) - 1))
 
 
-def enumerate_pd_bases(
-    r: int, alpha: Scalar, count_scanned: bool | None = None
-) -> EnumerationResult:
+def enumerate_pd_bases(r: int, alpha: Scalar) -> EnumerationResult:
     """One seed per isomorphism class of (r-1)-vertex graphs whose normalized
-    Gram is positive definite.  ``count_scanned`` additionally enumerates all
-    (r-1)-vertex classes (defaults to True up to 7 vertices, i.e. rank 8)."""
+    Gram is positive definite, with the number of all (r-1)-vertex classes
+    up to 7 vertices, i.e. rank 8."""
     if r < 2:
         raise ValueError("rank >= 2 required")
-    if count_scanned is None:
-        count_scanned = r - 1 <= 7
     mode = _alpha_mode(alpha)
     seeds = [
         BasisSeed(r, alpha, Graph(r - 1, tuple(rec["masks"])), mode, rec["det"], _adj_matrices(rec))
         for rec in _pd_ladder(mode, r - 1)
     ]
-    scanned = count_graph_classes(r - 1) if count_scanned else None
-    return EnumerationResult(r, alpha, seeds, scanned, pruned=not count_scanned)
+    return EnumerationResult(seeds, count_graph_classes(r - 1) if r - 1 <= 7 else None)
 
 
 # -- candidate lines -------------------------------------------------------------
@@ -417,12 +419,12 @@ def enumerate_pd_bases(
 def _candidate_data_raw(mode: _Mode, det, adj, r: int):
     """(eps, u = adjugate @ eps in integer coordinates) for every unit
     candidate line, i.e. every sign vector eps (root sign fixed +1) with
-    P(eps) = 0, all 2^(r-1) read off one _SignScan; adj is the list of
+    P(eps) = 0, all 2^(r-1) read off one _sign_quads; adj is the list of
     coordinate matrices of the adjugate, and u is computed for the
     candidates only.  P(eps) = 0 is eps^T adj eps == corner*det / bscale^2,
     so no eps passes when that quotient is not in the ring."""
     d = mode.d
-    pvals = _pd_values(mode, det, _SignScan(adj))
+    pvals = _pd_values(mode, det, adj)
     signs = [_sign_vector(nb, r) for nb, p in zip(_gray_masks(r), pvals) if not ring_sign(p, d)]
     return [(eps, [[sum(map(mul, row, eps)) for row in m] for m in adj]) for eps in signs]
 
@@ -613,38 +615,29 @@ def _children_totals(mode: _Mode, det, ms: list, pvals: list, nbs: list[int], r:
     return totals
 
 
-def _final_groups(mode: _Mode, parents: list[dict], r: int):
-    """Per parent of the final level: (the graph masks of its children that
-    start a class, the _children_totals arguments that reduce them)."""
-    children = attach_vertex(r - 2, _pd_children(mode, parents))
-    for _, group in groupby(children, key=lambda child: child[0][0]):  # the scan, by identity
-        group = list(group)
-        scan, rec, pvals = group[0][0]
-        nbs = [nb for _, nb, _ in group]
-        yield [tuple(masks) for *_, masks in group], (mode, rec["det"], scan.ms, pvals, nbs, r)
-
-
 def _final_totals(mode: _Mode, parents: list[dict], r: int, jobs: int):
-    """(graph masks, saturation total) for every class of the final level,
-    in arrival order.  The classes arrive grouped by parent, and each group
-    is reduced by _children_totals from the parent's scan alone: the child
-    of sign vector beta has det' = P(beta), and (eps, s) is one of its unit
-    candidates exactly when bscale^2 * (L - s*det)^2 = P(beta) * P(eps).
-    With one job a group is reduced as soon as the ladder yields it; with
-    more, groups go to a worker pool in batches."""
-    groups = _final_groups(mode, parents, r)
+    """(parent record, neighbor masks, saturation totals) per parent of the
+    final level, one mask and total for each class, in arrival order.  Each
+    parent's classes, from one _pd_step, are reduced by _children_totals
+    from the parent's scan alone: the child of sign vector beta has
+    det' = P(beta), and (eps, s) is one of its unit candidates exactly when
+    bscale^2 * (L - s*det)^2 = P(beta) * P(eps).  With one job a parent is
+    reduced as soon as the step yields it; with more, parents go to a worker
+    pool in batches."""
+    step = _pd_step(mode, parents, r - 2)
     if jobs <= 1:
-        for masks, args in groups:
-            yield from zip(masks, _children_totals(*args))
+        for rec, ms, pvals, nbs in step:
+            yield rec, nbs, _children_totals(mode, rec["det"], ms, pvals, nbs, r)
         return
     from multiprocessing import Pool
 
     pool = Pool(jobs)
     try:
-        while batch := list(islice(groups, 64)):
-            totals = pool.starmap(_children_totals, [args for _, args in batch], chunksize=4)
-            for (masks, _), group_totals in zip(batch, totals):
-                yield from zip(masks, group_totals)
+        while batch := list(islice(step, 64)):
+            args = [(mode, rec["det"], ms, pvals, nbs, r) for rec, ms, pvals, nbs in batch]
+            totals = pool.starmap(_children_totals, args, chunksize=4)
+            for (rec, _, _, nbs), group_totals in zip(batch, totals):
+                yield rec, nbs, group_totals
     finally:
         pool.close()
         pool.join()
@@ -661,14 +654,16 @@ def m_alpha(
 
     The final enumeration level is streamed: each new class is reduced to its
     saturation total (at once with one job, per batch with a pool) and only
-    the total is kept, in a histogram, with the graph masks of the classes
-    that tie the running maximum.  The memory footprint stays at the
-    previous level plus one int per class in the duplicate filter.
+    the total is kept, in a histogram, with the parent record and neighbor
+    mask of the classes that tie the running maximum.  The memory footprint
+    stays at the previous level plus one int per class in the duplicate
+    filter.
 
     A final-level total comes from the parent's data alone (the child of
     sign vector beta has det' = P(beta) and the candidates (eps, s) with
     bscale^2 * (L - s*det)^2 = P(beta) * P(eps), see the module docstring);
-    each maximizing seed is then rebuilt and re-certified on its own record.
+    each maximizing seed is then built from its parent's record by one
+    extension step (_child_seed) and re-certified on its own data.
     """
     if r < 2:
         raise ValueError("rank >= 2 required")
@@ -677,18 +672,19 @@ def m_alpha(
     mode = _alpha_mode(alpha)
     parents = _pd_ladder(mode, r - 2)
     histogram: dict[int, int] = {}
-    best, maximizers = 0, []  # masks of the seeds tying the maximum, in arrival order
-    for masks, total in _final_totals(mode, parents, r, jobs):
-        histogram[total] = histogram.get(total, 0) + 1
-        if total > best:
-            best, maximizers = total, []
-        if total == best:
-            maximizers.append(masks)
+    best, maximizers = 0, []  # (parent, nb) of the seeds tying the maximum, in arrival order
+    for rec, nbs, totals in _final_totals(mode, parents, r, jobs):
+        for nb, total in zip(nbs, totals):
+            histogram[total] = histogram.get(total, 0) + 1
+            if total > best:
+                best, maximizers = total, []
+            if total == best:
+                maximizers.append((rec, nb))
     if not histogram:
         raise ValueError("no positive definite basis exists for this rank and angle")
     reports = []
-    for masks in maximizers:
-        rep = saturation_report(seed_for_graph(r, alpha, Graph(r - 1, masks)))
+    for rec, nb in maximizers:
+        rep = saturation_report(_child_seed(r, alpha, mode, rec, nb))
         e = rep.realized
         if rep.total != best or e.n != best or e.rank != r:
             raise CertificateError("maximizing seed failed re-certification")

@@ -5,16 +5,13 @@ rank-10 angle-1/5 saturation cell is marked slow; it completes in a few
 minutes on one core (python -m pytest -m slow runs it).
 """
 
-import itertools
-import json
 import time
 from fractions import Fraction
 
 import pytest
 
 from equiangular import bounds, constructions, linalg, saturate
-from equiangular.cli import main, render_table2
-from equiangular.exactnum import parse_scalar
+from equiangular.cli import render_table2
 from equiangular.seidel import base_size
 
 
@@ -188,7 +185,6 @@ def test_criterion_10_generalized_neumann():
 
 def test_criterion_11_property_suites():
     import test_linalg
-    import test_seidel
 
     # PSD checker vs principal-minor oracle on 10^4 random matrices runs in
     # test_linalg; spot-verify a fresh reduced sample here

@@ -19,11 +19,8 @@ from equiangular.constructions import (
     block_52_equiangular,
     block_52_family,
     conference_etf,
-    golay_octads,
     paley_conference,
     simplex_base,
-    witt276,
-    witt276_base_and_pillars,
     witt_spectrum_certificate,
 )
 from equiangular.exactnum import parse_scalar

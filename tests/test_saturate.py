@@ -12,32 +12,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiangular.exactnum import QuadExt, parse_scalar, quad_sign, ring_to_scalar
+from equiangular.exactnum import QuadExt, parse_scalar, quad_sign, ring_sign, ring_to_scalar
 from equiangular.graphenum import count_graph_classes
 from equiangular.linalg import psd_check
 from equiangular.saturate import (
     CertificateError,
     _Mode,
-    _SignScan,
     _adj_matrices,
     _alpha_mode,
     _candidate_data_raw,
+    _child_seed,
     _children_totals,
     _compat_adj_raw,
     _extend_record,
+    _final_totals,
+    _gray_masks,
     _pd_ladder,
     _pd_neighbor_masks,
     _pd_values,
     _root_record,
+    _sign_quads,
     _sign_vector,
     _square_key,
     candidates,
     compatibility_graph,
     enumerate_pd_bases,
     m_alpha,
-    m_star,
     realize,
     saturation_report,
+    seed_for_graph,
     switching_isomorphism,
     uniqueness_check_8_third,
 )
@@ -159,7 +162,7 @@ def test_sqrt17_realization_stays_in_field(table3_fast):
     rep = table3_fast[(9, "1/sqrt(17)")]
     assert rep.value == 18
     alpha = parse_scalar("1/sqrt(17)")
-    enum = enumerate_pd_bases(9, alpha, count_scanned=False)
+    enum = enumerate_pd_bases(9, alpha)
     winner_g6 = rep.certificate["maximizing_seeds"][0]["graph6"]
     seed = next(s for s in enum.seeds if s.nonroot_graph6 == winner_g6)
     cs = candidates(seed)
@@ -309,12 +312,11 @@ def _check_scan_windows(m, targets):
     quads, and for every target t taken as det under unit scaling the PD
     children (quad < t) and the unit candidates (quad == t, with u = m b)."""
     n = len(m)
-    scan = _SignScan([m])
-    assert scan.quads() == [[quad[0] for _, quad, _ in _direct_walk(m, None, None)]]
+    assert _sign_quads([m]) == [[quad[0] for _, quad, _ in _direct_walk(m, None, None)]]
     for t in targets:
-        pvals = _pd_values(_UNIT_MODE, t, scan)
+        pvals = _pd_values(_UNIT_MODE, t, [m])
         want = _masks(_direct_walk(m, None, t))
-        assert _pd_neighbor_masks(_UNIT_MODE, {"adj": m, "det": t}, scan, pvals) == want
+        assert _pd_neighbor_masks(_UNIT_MODE, {"adj": m, "det": t}, pvals) == want
         hits = [(_sign_vector(mask, n), u) for mask, _, u in _direct_walk(m, t, t + 1)]
         assert _candidate_data_raw(_UNIT_MODE, t, [m], n) == hits
 
@@ -332,9 +334,8 @@ def test_packed_scan_matches_direct_products(m, data):
     mode = _alpha_mode(Fraction(2, 7))
     det = data.draw(st.integers(q * 4 // 7 - 2, q * 4 // 7 + 2))
     want = [mask for mask, quad, _ in full if quad[0] * mode.bscale_sq < mode.corner * det]
-    scan = _SignScan([m])
-    pvals = _pd_values(mode, det, scan)
-    assert _pd_neighbor_masks(mode, {"adj": m, "det": det}, scan, pvals) == want
+    pvals = _pd_values(mode, det, [m])
+    assert _pd_neighbor_masks(mode, {"adj": m, "det": det}, pvals) == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -368,8 +369,8 @@ def test_packed_scan_at_the_guard_bit(reach):
     of a field (the least whole number of bytes that holds reach): for k a
     multiple of 8 the field is full at 2^k - 1 and gains a byte at 2^k; for
     k = 7, 15, 63 the top bit of the field is first used at 2^k.  Each
-    matrix has a sign vector whose field holds reach, and its quads() are
-    checked with the scan tests."""
+    matrix has a sign vector whose field holds reach, and its _sign_quads
+    are checked with the scan tests."""
     third = reach // 3
     rest = reach - 2 * third
     for m in (
@@ -393,8 +394,7 @@ def test_packed_scan_over_a_quadratic_ring(pair, data):
     walk_a, walk_b = _direct_walk(a, None, None), _direct_walk(b, None, None)
     quads = [(qa[0], qb[0]) for (_, qa, _), (_, qb, _) in zip(walk_a, walk_b)]
     assert _adj_matrices({"adj": a, "adj_sqrt": b}) == [a, b]
-    scan = _SignScan([a, b])
-    assert scan.quads() == [list(col) for col in zip(*quads)]
+    assert _sign_quads([a, b]) == [list(col) for col in zip(*quads)]
     g = data.draw(st.integers(0, len(quads) - 1))
     ta, tb = quads[g][0] + data.draw(st.sampled_from([0, 0, 1])), quads[g][1]
     hits = [i for i, q in enumerate(quads) if q == (ta, tb)]
@@ -414,7 +414,7 @@ def test_packed_scan_over_a_quadratic_ring(pair, data):
         if quad_sign(thresh - bsq * ring_to_scalar(q, d)) > 0
     ]
     rec = {"adj": a, "adj_sqrt": b, "det": det}
-    assert _pd_neighbor_masks(mode, rec, scan, _pd_values(mode, det, scan)) == want
+    assert _pd_neighbor_masks(mode, rec, _pd_values(mode, det, [a, b])) == want
 
 
 def test_a_wrong_realized_set_fails_re_certification(monkeypatch):
@@ -593,14 +593,62 @@ def test_children_totals_match_the_record_path(r, alpha, children, zeros):
     mode = _alpha_mode(parse_scalar(alpha))
     seen = zero_members = 0
     for rec in _pd_ladder(mode, r - 2):
-        scan = _SignScan(_adj_matrices(rec))
-        pvals = _pd_values(mode, rec["det"], scan)
-        nbs = _pd_neighbor_masks(mode, rec, scan, pvals)
-        want = [_record_total(mode, _extend_record(mode, rec, nb, scan.ms), r) for nb in nbs]
-        assert _children_totals(mode, rec["det"], scan.ms, pvals, nbs, r) == want
+        ms = _adj_matrices(rec)
+        pvals = _pd_values(mode, rec["det"], ms)
+        nbs = _pd_neighbor_masks(mode, rec, pvals)
+        want = [_record_total(mode, _extend_record(mode, rec, nb, ms), r) for nb in nbs]
+        assert _children_totals(mode, rec["det"], ms, pvals, nbs, r) == want
         seen += len(nbs)
         zero_members += sum(p in (0, (0, 0)) for p in pvals)  # an int over Z, a pair over Z[sqrt d]
     assert (seen, zero_members) == (children, zeros)
+
+
+@pytest.mark.parametrize("r,alpha,count", [(8, "1/3", 2), (7, "2/7", 57), (9, "1/sqrt(17)", 186)])
+def test_maximizing_seeds_from_their_parents_match_the_root_rebuild(table3_fast, r, alpha, count):
+    """Each maximizer of the cell, built from its parent's record by one
+    extension step, has the det, adjugate coordinate matrices and graph6 of
+    the seed that seed_for_graph rebuilds from the root out of its graph6,
+    and the maximizers are those m_alpha reports, in its order."""
+    a = parse_scalar(alpha)
+    mode = _alpha_mode(a)
+    children = [
+        (rec, nb, total)
+        for rec, nbs, totals in _final_totals(mode, _pd_ladder(mode, r - 2), r, 1)
+        for nb, total in zip(nbs, totals)
+    ]
+    best = max(total for *_, total in children)
+    seeds = [_child_seed(r, a, mode, rec, nb) for rec, nb, total in children if total == best]
+    assert len(seeds) == count
+    for seed in seeds:
+        rebuilt = seed_for_graph(r, a, graph_from_graph6(seed.nonroot_graph6))
+        assert seed.graph == rebuilt.graph
+        assert (seed.det, seed.adjugate) == (rebuilt.det, rebuilt.adjugate)
+        assert seed.nonroot_graph6 == rebuilt.nonroot_graph6
+    report = table3_fast[(r, alpha)] if (r, alpha) in table3_fast else m_alpha(r, a)
+    assert [e["graph6"] for e in report.certificate["maximizing_seeds"]] == [
+        seed.nonroot_graph6 for seed in seeds
+    ]
+
+
+@pytest.mark.parametrize("alpha", ["1/5", "1/sqrt(17)"])
+def test_a_child_seed_that_is_not_positive_definite_is_refused(alpha):
+    """The ladder offers only masks with P(beta) > 0; _child_seed raises
+    CertificateError for the children of the others, P(beta) = 0 (a unit
+    candidate of the parent) and P(beta) < 0, on rank-8 parents."""
+    mode = _alpha_mode(parse_scalar(alpha))
+    tested = {0: 0, -1: 0}  # children tested per sign of P(beta)
+    for rec in _pd_ladder(mode, 6):
+        pvals = _pd_values(mode, rec["det"], _adj_matrices(rec))
+        for nb, p in zip(_gray_masks(7), pvals):
+            sign = ring_sign(p, mode.d)
+            if sign > 0 or tested[sign] == 5:
+                continue
+            with pytest.raises(CertificateError, match="not positive definite"):
+                _child_seed(8, parse_scalar(alpha), mode, rec, nb)
+            tested[sign] += 1
+        if tested == {0: 5, -1: 5}:
+            break
+    assert tested == {0: 5, -1: 5}
 
 
 _UNITS = {2: (1, 1), 5: (2, 1), 13: (18, 5), 17: (4, 1)}  # norm -1: a^2 - d*b^2 = -1

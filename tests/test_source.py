@@ -12,3 +12,32 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """The names a file imports and never reads; a name listed in the file's
+    own ``__all__`` (the package's re-exports) counts as read."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(elt.value for elt in node.value.elts)
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    """Every name imported by a module of the package or a test file is read
+    there."""
+    package = pathlib.Path(equiangular.__path__[0])
+    paths = sorted(package.glob("*.py")) + sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    assert [found for path in paths for found in _unused_imports(path)] == []
