@@ -32,7 +32,7 @@ from equiangular.exactnum import (
     squarefree_decomposition,
 )
 from equiangular.linalg import SymMatrix
-from equiangular.seidel import Graph
+from equiangular.seidel import Graph, SeidelMatrix, gram_matrix
 
 
 @dataclass
@@ -316,20 +316,10 @@ def table2(jobs: int = 1) -> list[Table2Row]:
     return [table2_row(k) for k in strata]
 
 
-def two_31_pillar_search(
-    t1111: int | None = None, degree_class: int | None = None, jobs: int = 1
-) -> BoundReport:
+def two_31_pillar_search(t1111: int | None = None, jobs: int = 1) -> BoundReport:
     """The enumeration behind "a (3,1) pillar opposite a 4-vector (3,1) pillar
     has at most 54 vectors": per-variable caps, degree-class caps, and the
     stratified table over t_1111."""
-    if degree_class is not None:
-        cap, arg = degree_class_cap(degree_class)
-        return BoundReport(
-            name=f"two_31_degree_class_{degree_class}",
-            value=cap,
-            inputs={"alpha": "1/5", "K": 3, "class": degree_class},
-            certificate={"argmax": {mask_label(m): v for m, v in arg.items() if v}},
-        )
     if t1111 is not None:
         row = table2_row(t1111)
         return BoundReport(
@@ -515,19 +505,9 @@ def pillar52_rank_bound(g: Graph) -> Pillar52Report:
 
 
 def pillar52_gram(g: Graph) -> SymMatrix:
-    """Gram matrix (1/5)J + (4/5)I - (2/5)Adj of a (5,2)-pillar candidate."""
-    rows = []
-    for i in range(g.n):
-        row = []
-        for j in range(g.n):
-            if i == j:
-                row.append(Fraction(1))
-            elif g.has_edge(i, j):
-                row.append(Fraction(1, 5) - Fraction(2, 5))
-            else:
-                row.append(Fraction(1, 5))
-        rows.append(row)
-    return SymMatrix(rows)
+    """Gram matrix (1/5)J + (4/5)I - (2/5)Adj of a (5,2)-pillar candidate,
+    the Gram I + A/5 of the Seidel matrix A of g."""
+    return gram_matrix(Fraction(1, 5), SeidelMatrix.from_graph(g))
 
 
 # ---------------------------------------------------------------------------

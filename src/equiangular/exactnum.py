@@ -9,11 +9,12 @@ mix distinct radicands, since no computation here ever needs a compositum field.
 
 Fraction-free work (Bareiss elimination, the saturation search) scales its input
 into a ring, Z for rational data and Z[sqrt d] for Q(sqrt d) data, and computes
-on integer coordinates: an int over Z, a pair (a, b) for a + b*sqrt(d).  An
-exact quotient over Z[sqrt d] multiplies by the conjugate of the divisor and
-divides exactly by its integer norm (``zsqrt_divide``); ``rows_step`` is the
-one fraction-free step on whole coordinate rows, for both rings.  Over
-Z[sqrt d] both raise ArithmeticError unless the quotient lies in the ring.
+on integer coordinates: an int over Z, a pair (a, b) for a + b*sqrt(d).
+``zsqrt_mul`` multiplies two pairs.  ``rows_step`` is the one fraction-free
+step on whole coordinate rows, for both rings; over Z[sqrt d] its exact
+quotient multiplies by the conjugate of the divisor and divides by the
+divisor's integer norm, and it raises ArithmeticError unless the quotient
+lies in the ring.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
-
-Rational = Fraction
 
 Scalar = Union[int, Fraction, "QuadExt"]
 
@@ -205,21 +204,6 @@ def _sign_ab(a, b, d: int) -> int:
 def zsqrt_mul(x, y, d: int) -> tuple[int, int]:
     """x*y for coordinate pairs x = (a, b), meaning a + b*sqrt(d), and y."""
     return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def zsqrt_divide(x, y, d: int) -> tuple[int, int]:
-    """x / y for coordinate pairs of Z[sqrt d]: x times the conjugate of y,
-    divided exactly by the norm of y.  Raises ZeroDivisionError for y = 0 and
-    ArithmeticError unless the quotient lies in Z[sqrt d]."""
-    (a, b), (c, e) = x, y
-    nrm = c * c - d * e * e  # zero only for y = 0, d not a square
-    if nrm == 0:
-        raise ZeroDivisionError("division by zero in Z[sqrt d]")
-    qa, ra = divmod(a * c - d * b * e, nrm)
-    qb, rb = divmod(b * c - a * e, nrm)
-    if ra or rb:
-        raise ArithmeticError(f"{a} + {b}*sqrt({d}) is not divisible by {c} + {e}*sqrt({d})")
-    return qa, qb
 
 
 def rows_step(p, c, q, xs, ys, d: int) -> tuple[list[int], ...]:

@@ -26,19 +26,27 @@ tests are exact ring comparisons:
 
     positive definite extension:  corner*det - bscale^2 * (eps^T adj eps) > 0
     unit candidate line:          eps^T adj eps == corner*det / bscale^2
-    compatible candidate pair:    adj eps_i . eps_j == +-det / bscale
+    compatible candidate pair:    bscale * (adj eps_i) . eps_j == +-det
 
 The first two tests are the sign of one ring element,
 P(eps) = corner*det - bscale^2 * (eps^T adj eps): eps gives a PD child when
 P(eps) > 0 and a unit candidate line when P(eps) = 0 (the ring has no zero
-divisors and bscale != 0).  eps^T adj eps comes for all 2^(n-1) sign vectors
-of an n x n adjugate at once (_sign_quads), on the integer coordinates of
-the ring: one integer matrix over Z, two over Z[sqrt d].  eps^T m eps is an
-affine function of the pairwise sign differences, so it is n(n-1)/2 big-int
-multiply-adds of fixed 0/1 patterns into one int of fixed-width fields, one
-field per sign vector in Gray order, unpacked into one value per sign
-vector.  adj@eps is computed only for the candidate lines and for the
-children that start a new class.
+divisors and bscale != 0).  The third is adj eps_i . eps_j == +-det / bscale
+multiplied through by bscale, so it needs no division (and no pair passes
+when bscale does not divide det): it dots the border vector
+bscale * adj eps_i (_border) with eps_j.  The border vector of eps is minus
+the new column of the adjugate of the child of eps, and det times the
+basis coordinates of the line of eps; the only exact divisions of the
+search are those of the adjugate update.
+
+eps^T adj eps comes for all 2^(n-1) sign vectors of an n x n adjugate at
+once (_sign_quads), on the integer coordinates of the ring: one integer
+matrix over Z, two over Z[sqrt d].  eps^T m eps is an affine function of
+the pairwise sign differences, so it is n(n-1)/2 big-int multiply-adds of
+fixed 0/1 patterns into one int of fixed-width fields, one field per sign
+vector in Gray order, unpacked into one value per sign vector.  The border
+vector is computed only for the candidate lines and for the children that
+start a new class.
 
 The final level builds no child record and no child scan.  The parent's
 packed scan gives P(b) = corner*det - bscale^2 * (b^T adj b) for every b;
@@ -62,7 +70,7 @@ from functools import cache, cached_property
 from itertools import islice
 from math import isqrt, lcm
 from operator import add, mul, neg
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from equiangular import bounds
 from equiangular.bounds import BoundReport
@@ -74,7 +82,6 @@ from equiangular.exactnum import (
     ring_sign,
     ring_to_scalar,
     rows_step,
-    zsqrt_divide,
     zsqrt_mul,
 )
 from equiangular.graphenum import ClassSet, attach_vertex, count_graph_classes, find_isomorphism
@@ -165,15 +172,16 @@ class BasisSeed:
 @dataclass(frozen=True)
 class CandidateLine:
     sign_vector: tuple[int, ...]
-    u: list = field(repr=False, compare=False)  # adj(H) @ sign_vector, integer coordinates
+    # the border vector bscale * adj(H) @ sign_vector (_border), as coordinate rows
+    u: list = field(repr=False, compare=False)
     seed: BasisSeed = field(repr=False, compare=False)
 
     @cached_property
     def coords(self) -> tuple[Scalar, ...]:
-        """Exact coordinates in the basis, bscale * u / det (computed on first read)."""
+        """Exact coordinates in the basis, u / det (computed on first read)."""
         d = self.seed.mode.d
-        scale = ring_to_scalar(self.seed.mode.bscale, d) / ring_to_scalar(self.seed.det, d)
-        return tuple(scale * ring_to_scalar(x, d) for x in (zip(*self.u) if d else self.u[0]))
+        det = ring_to_scalar(self.seed.det, d)
+        return tuple(ring_to_scalar(x, d) / det for x in (zip(*self.u) if d else self.u[0]))
 
 
 @dataclass
@@ -213,23 +221,40 @@ def _adj_matrices(rec: dict) -> list:
     return [rec["adj"], rec["adj_sqrt"]] if "adj_sqrt" in rec else [rec["adj"]]
 
 
+def _border(mode: _Mode, ms: list, b: Sequence[int]) -> tuple:
+    """(b^T adj b, bscale * adj @ b) for a sign vector b, from the integer
+    coordinate matrices ms of adj (_adj_matrices): the ring element in
+    integer coordinates and the border vector as its coordinate rows, one
+    over Z and two over Z[sqrt d].  The border vector is minus the new
+    column of the adjugate of the child of b, and det times the basis
+    coordinates of the line of b when b is a unit candidate."""
+    us = [[sum(map(mul, row, b)) for row in m] for m in ms]
+    if not mode.d:
+        (u,) = us
+        return sum(map(mul, u, b)), [[mode.bscale * x for x in u]]
+    (ba, bb), (ua, ub), d = mode.bscale, us, mode.d
+    quad = sum(map(mul, ua, b)), sum(map(mul, ub, b))
+    sa = [ba * x + d * bb * y for x, y in zip(ua, ub)]
+    return quad, [sa, [ba * y + bb * x for x, y in zip(ua, ub)]]
+
+
 def _extend_record(mode: _Mode, rec: dict, nb: int, ms: list) -> dict:
     """Record of the class grown by a vertex with neighbor mask nb; ms are
     the integer coordinate matrices of rec's adjugate (_adj_matrices).  With
-    su = bscale * adj@b the new adjugate is [[(det'*adj + su su^T) / det,
-    -su], [-su^T, det]]; over Z[sqrt d] rows_step forms it coordinate by
-    coordinate.  Only the entries on and above the diagonal are computed."""
+    su = bscale * adj@b (_border) the new adjugate is
+    [[(det'*adj + su su^T) / det, -su], [-su^T, det]]; over Z[sqrt d]
+    rows_step forms it coordinate by coordinate.  Only the entries on and
+    above the diagonal are computed."""
     k = len(rec["masks"])
     n = k + 1
     masks = [m | ((nb >> i & 1) << k) for i, m in enumerate(rec["masks"])]
     masks.append(nb)
     det, d = rec["det"], mode.d
-    quad, u = _quad_u(ms, nb)
+    quad, su = _border(mode, ms, _sign_vector(nb, n))
     # over Z the step stays inline: a rows_step call per row was 1.6x slower on these small records
     if not d:
-        (adj,), (u,), (quad,) = ms, u, quad
+        (adj,), (su,) = ms, su
         det_new = mode.corner * det - mode.bscale_sq * quad
-        su = [mode.bscale * x for x in u]
         new_adj = [[None] * n + [-x] for x in su]
         for i in range(n):  # the adjugate is symmetric: fill j >= i and mirror
             row, adj_i, su_i = new_adj[i], adj[i], su[i]
@@ -239,9 +264,7 @@ def _extend_record(mode: _Mode, rec: dict, nb: int, ms: list) -> dict:
         return {"masks": masks, "det": det_new, "adj": new_adj}
     (ta, tb), (qa, qb) = _corner_times(mode, det), zsqrt_mul(mode.bscale_sq, quad, d)
     det_new = ta - qa, tb - qb
-    (ba, bb), (ua, ub), (a, b) = mode.bscale, u, ms
-    sa = [ba * x + d * bb * y for x, y in zip(ua, ub)]
-    sb = [ba * y + bb * x for x, y in zip(ua, ub)]
+    (sa, sb), (a, b) = su, ms
     new_a, new_b = [[None] * n + [-x] for x in sa], [[None] * n + [-x] for x in sb]
     for i in range(n):  # as over Z, one rows_step per row from column i on
         ra, rb = rows_step(
@@ -334,7 +357,7 @@ def _pd_neighbor_masks(mode: _Mode, rec: dict, pvals: list) -> list[int]:
     return [nb for nb, p in zip(_gray_masks(len(rec["adj"])), pvals) if ring_sign(p, d) > 0]
 
 
-def _pd_step(mode: _Mode, level: list[dict], k: int):
+def _pd_step(mode: _Mode, level: Iterable[dict], k: int):
     """One ladder step from a level of records on k graph vertices: per
     record, (rec, the coordinate matrices ms of its adjugate, their
     _pd_values, the neighbor masks of its PD children that start a new
@@ -351,24 +374,18 @@ def _pd_step(mode: _Mode, level: list[dict], k: int):
             yield rec, ms, pvals, nbs
 
 
-def _pd_ladder(mode: _Mode, graph_size: int) -> list[dict]:
-    """PD basis class records whose non-root graphs have graph_size vertices."""
-    level = [_root_record(mode)]
+def _pd_ladder(mode: _Mode, graph_size: int) -> Iterator[dict]:
+    """PD basis class records whose non-root graphs have graph_size vertices,
+    streamed: each level is a generator over the one below, so a record is
+    built when the next step asks for it and no level is held as a list."""
+    level = iter([_root_record(mode)])
     for k in range(graph_size):
-        level = [
+        level = (
             _extend_record(mode, rec, nb, ms)
             for rec, ms, _, nbs in _pd_step(mode, level, k)
             for nb in nbs
-        ]
+        )
     return level
-
-
-def _quad_u(ms: list, nb: int):
-    """(quad, u) = (b^T adj b, adj @ b) in integer coordinates for the sign
-    vector b of neighbor mask nb, from the coordinate matrices ms of adj."""
-    b = _sign_vector(nb, len(ms[0]))
-    us = [[sum(map(mul, row, b)) for row in m] for m in ms]
-    return [sum(map(mul, u, b)) for u in us], us
 
 
 def _child_seed(r: int, alpha: Scalar, mode: _Mode, rec: dict, nb: int) -> BasisSeed:
@@ -417,16 +434,16 @@ def enumerate_pd_bases(r: int, alpha: Scalar) -> EnumerationResult:
 
 
 def _candidate_data_raw(mode: _Mode, det, adj, r: int):
-    """(eps, u = adjugate @ eps in integer coordinates) for every unit
-    candidate line, i.e. every sign vector eps (root sign fixed +1) with
-    P(eps) = 0, all 2^(r-1) read off one _sign_quads; adj is the list of
-    coordinate matrices of the adjugate, and u is computed for the
+    """(eps, u = bscale * adjugate @ eps, the border vector of _border) for
+    every unit candidate line, i.e. every sign vector eps (root sign fixed
+    +1) with P(eps) = 0, all 2^(r-1) read off one _sign_quads; adj is the
+    list of coordinate matrices of the adjugate, and u is computed for the
     candidates only.  P(eps) = 0 is eps^T adj eps == corner*det / bscale^2,
     so no eps passes when that quotient is not in the ring."""
     d = mode.d
     pvals = _pd_values(mode, det, adj)
     signs = [_sign_vector(nb, r) for nb, p in zip(_gray_masks(r), pvals) if not ring_sign(p, d)]
-    return [(eps, [[sum(map(mul, row, eps)) for row in m] for m in adj]) for eps in signs]
+    return [(eps, _border(mode, adj, eps)[1]) for eps in signs]
 
 
 def candidates(seed: BasisSeed) -> CandidateSet:
@@ -436,35 +453,24 @@ def candidates(seed: BasisSeed) -> CandidateSet:
     return CandidateSet(seed, [CandidateLine(eps, u, seed) for eps, u in data])
 
 
-def _compat_target(mode: _Mode, det) -> list[int] | None:
-    """det / bscale in integer coordinates, or None if it is not in the ring
-    (then no candidate pair is compatible)."""
-    if mode.d:
-        try:
-            return list(zsqrt_divide(det, mode.bscale, mode.d))
-        except ArithmeticError:
-            return None
-    t, rem = divmod(det, mode.bscale)
-    return None if rem else [t]
-
-
-def _pair_sign(tgt: list[int] | None, u_i, eps_j) -> int:
-    """+1 or -1 as the dots of u_i with eps_j equal the compatibility target
-    tgt (_compat_target) or its negative."""
+def _pair_sign(tgt: list[int], u_i, eps_j) -> int:
+    """+1 or -1 as the dots of the border vector u_i with eps_j equal the
+    coordinates tgt of det or their negatives (see _compat_adj_raw)."""
     dots = [sum(map(mul, uc, eps_j)) for uc in u_i]
     if dots == tgt:
         return 1
-    if tgt is not None and dots == [-x for x in tgt]:
+    if dots == [-x for x in tgt]:
         return -1
     raise ValueError("pair is not compatible")
 
 
 def _compat_adj_raw(mode: _Mode, det, data, r: int) -> list[int]:
+    """Adjacency bitmasks of the compatibility graph of the candidates
+    (eps, u) in data (_candidate_data_raw): i and j are compatible when the
+    border vector u_i dotted with eps_j is +-det, coordinate by coordinate."""
     nc = len(data)
     adj = [0] * nc
-    tgt = _compat_target(mode, det)
-    if tgt is None:
-        return adj
+    tgt = list(det) if mode.d else [det]
     neg = [-x for x in tgt]
     for i in range(nc):
         ui = data[i][1]
@@ -493,7 +499,7 @@ def realize(seed: BasisSeed, cands: CandidateSet, chosen: Sequence[int]) -> Equi
     n = r + len(chosen)
     rows = [list(row) + [0] * (n - r) for row in seed.seidel().rows] + [[0] * n for _ in chosen]
     lines = cands.lines
-    tgt = _compat_target(seed.mode, seed.det)
+    tgt = list(seed.det) if seed.mode.d else [seed.det]
     for a, ci in enumerate(chosen):
         eps = lines[ci].sign_vector
         for i in range(r):
@@ -615,7 +621,7 @@ def _children_totals(mode: _Mode, det, ms: list, pvals: list, nbs: list[int], r:
     return totals
 
 
-def _final_totals(mode: _Mode, parents: list[dict], r: int, jobs: int):
+def _final_totals(mode: _Mode, parents: Iterable[dict], r: int, jobs: int):
     """(parent record, neighbor masks, saturation totals) per parent of the
     final level, one mask and total for each class, in arrival order.  Each
     parent's classes, from one _pd_step, are reduced by _children_totals
@@ -652,12 +658,13 @@ def m_alpha(
     """Maximum number of equiangular lines of rank exactly r and angle alpha,
     by saturation over every PD basis class.
 
-    The final enumeration level is streamed: each new class is reduced to its
-    saturation total (at once with one job, per batch with a pool) and only
-    the total is kept, in a histogram, with the parent record and neighbor
-    mask of the classes that tie the running maximum.  The memory footprint
-    stays at the previous level plus one int per class in the duplicate
-    filter.
+    The enumeration is streamed: the ladder yields the final level's
+    parents one at a time (_pd_ladder), and each new class of the final
+    level is reduced to its saturation total (at once with one job, per
+    batch with a pool) and only the total is kept, in a histogram, with the
+    parent record and neighbor mask of the classes that tie the running
+    maximum.  The memory footprint is one int per class of every level in
+    the duplicate filters plus one record in flight per level.
 
     A final-level total comes from the parent's data alone (the child of
     sign vector beta has det' = P(beta) and the candidates (eps, s) with

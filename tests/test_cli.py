@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from equiangular import cli
 from equiangular.cli import main
+from equiangular.exactnum import parse_scalar
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +186,58 @@ def test_saturate_command(capsys):
     payload = json.loads(out)
     assert sorted(s["total"] for s in payload["seeds"]) == [8, 14, 14]
     assert payload["classes_scanned"] == 1044
+
+
+def _gram_file(tmp_path, n, entry):
+    """A Gram file with no "alpha" key: 1 on the diagonal and entry off it."""
+    rows = [["1" if i == j else entry for j in range(n)] for i in range(n)]
+    path = tmp_path / f"gram{n}.json"
+    path.write_text(json.dumps({"gram": {"order": n, "field": "Q", "rows": rows}}))
+    return path
+
+
+def test_verify_gram_infers_the_angle_and_certifies_psd(tmp_path, capsys):
+    """The regular simplex of 4 vectors at -1/3: the angle 1/3 is read off
+    the entries, and the Gram is PSD of rank 3."""
+    code, out = run_cli(capsys, "verify", str(_gram_file(tmp_path, 4, "-1/3")))
+    assert code == 0
+    assert json.loads(out) == {
+        "ok": True, "n": 4, "alpha": "1/3", "rank": 3, "psd": "positive_semidefinite_singular",
+    }
+
+
+def test_verify_gram_rejects_an_indefinite_gram_with_a_witness(tmp_path, capsys):
+    """5 vectors pairwise at -1/3 have the Gram eigenvalue 4/3 - 5/3 < 0; the
+    witness v printed has v^T G v < 0."""
+    code, out = run_cli(capsys, "verify", str(_gram_file(tmp_path, 5, "-1/3")))
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["ok"] is False and payload["reason"] == "Gram not PSD"
+    v = [parse_scalar(x) for x in payload["witness"]]
+    gram = [[Fraction(1) if i == j else Fraction(-1, 3) for j in range(5)] for i in range(5)]
+    assert sum(v[i] * gram[i][j] * v[j] for i in range(5) for j in range(5)) < 0
+
+
+def test_mstar_command(capsys):
+    code, out = run_cli(capsys, "--jobs", "1", "mstar", "--rank", "8")
+    assert code == 0 and json.loads(out)["value"] == 14
+
+
+def test_reproduce_thm56_matches_the_pinned_values(capsys):
+    code, out = run_cli(capsys, "--jobs", "1", "reproduce", "thm56")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["matches_pinned"] and payload["diff"] == {}
+    assert payload["computed"] == {"8": 14, "9": 18, "10": 18}
+
+
+def test_saturate_out_directory(tmp_path, capsys):
+    code, out = run_cli(
+        capsys, "--jobs", "1", "saturate", "--rank", "8", "--alpha", "1/3", "--out", str(tmp_path)
+    )
+    assert code == 0 and out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["saturation.json"]
+    assert json.loads((tmp_path / "saturation.json").read_text())["value"] == 14
 
 
 def test_console_script_runs():

@@ -20,7 +20,6 @@ from equiangular.exactnum import (
     rows_step,
     scalar_floor,
     squarefree_decomposition,
-    zsqrt_divide,
     zsqrt_mul,
 )
 
@@ -154,29 +153,13 @@ def _pair(x):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), radicands)
-def test_zsqrt_exact_division(data, d):
-    """zsqrt_mul and zsqrt_divide on coordinate pairs against QuadExt: a
-    quotient with integer coordinates is returned, any other raises
-    ArithmeticError, and division by 0 raises ZeroDivisionError."""
+def test_zsqrt_mul_matches_quadext(data, d):
+    """zsqrt_mul on coordinate pairs against QuadExt, for products of two
+    ring elements and of a ring element with an int."""
     x, y = data.draw(zs(d)), data.draw(zs(d))
-    k = data.draw(small.filter(bool))
-    xy = zsqrt_mul(_pair(x), _pair(y), d)
-    assert xy == _pair(x * y)
-    if y:
-        assert zsqrt_divide(xy, _pair(y), d) == _pair(x)
-        quotient = x / y
-        if _in_ring(quotient):
-            assert zsqrt_divide(_pair(x), _pair(y), d) == _pair(quotient)
-        else:
-            with pytest.raises(ArithmeticError):
-                zsqrt_divide(_pair(x), _pair(y), d)
-    else:
-        with pytest.raises(ZeroDivisionError):
-            zsqrt_divide(_pair(x), _pair(y), d)
-    assert zsqrt_divide(_pair(x * k), (k, 0), d) == _pair(x)
-    if x.a % k or x.b % k:
-        with pytest.raises(ArithmeticError):
-            zsqrt_divide(_pair(x), (k, 0), d)
+    k = data.draw(small)
+    assert zsqrt_mul(_pair(x), _pair(y), d) == _pair(x * y)
+    assert zsqrt_mul(_pair(x), (k, 0), d) == _pair(x * k)
 
 
 @settings(max_examples=500, deadline=None)
@@ -247,21 +230,16 @@ def test_rows_step_matches_ring_arithmetic(data, d):
 
 
 def test_inexact_division_raises_under_optimize():
-    """The exactness checks are real raises, not asserts stripped by -O."""
+    """The exactness check of rows_step is a real raise, not an assert
+    stripped by -O."""
     root = os.path.dirname(equiangular.__path__[0])
     env = dict(os.environ, PYTHONPATH=root)
     code = (
-        "from equiangular.exactnum import rows_step, zsqrt_divide\n"
-        "try:\n"
-        "    rows_step((1, 0), (0, 0), (2, 0), ([1], [1]), ([0], [0]), 17)\n"
-        "except ArithmeticError:\n"
-        "    pass\n"
-        "else:\n"
-        "    raise SystemExit('rows_step accepted an inexact step')\n"
-        "zsqrt_divide((1, 1), (2, 0), 17)\n"
+        "from equiangular.exactnum import rows_step\n"
+        "rows_step((1, 0), (0, 0), (2, 0), ([1], [1]), ([0], [0]), 17)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode != 0
-    assert "ArithmeticError" in proc.stderr and "not divisible" in proc.stderr
+    assert "ArithmeticError: a fraction-free step is not exact in Z[sqrt 17]" in proc.stderr

@@ -80,24 +80,36 @@ def test_enumerate_pd_bases_rank2():
     assert g.entry(0, 1) == Fraction(1, 3)
 
 
-def test_candidates_and_saturation_totals(enum_8_third):
+@pytest.fixture(scope="module")
+def enum_7_sqrt13():
+    return enumerate_pd_bases(7, parse_scalar("1/sqrt(13)"))
+
+
+def _gram_products(seed, cs):
+    """G c for the coordinates c of every candidate line of cs, by exact
+    products with the seed's Gram matrix G."""
+    g, r = seed.gram(), seed.r
+    return [
+        [sum(g.entry(i, j) * line.coords[j] for j in range(r)) for i in range(r)]
+        for line in cs.lines
+    ]
+
+
+def test_candidates_and_saturation_totals(enum_8_third, enum_7_sqrt13):
+    """The totals of the (8, 1/3) seeds, and the coordinates of every
+    candidate line, at (8, 1/3) (bscale = 1) and at (7, 1/sqrt(13))
+    (bscale = sqrt(13)): they solve G c = alpha eps and have unit norm."""
     totals = []
     for seed in enum_8_third.seeds:
         rep = saturation_report(seed)
         totals.append(rep.total)
         assert rep.total == 8 + rep.clique_size
-        # re-verify candidate coordinates solve G c = alpha eps with unit norm
-        cs = candidates(seed)
-        g = seed.gram()
-        for line in cs.lines[:8]:
-            lhs = [
-                sum(g.entry(i, j) * line.coords[j] for j in range(8))
-                for i in range(8)
-            ]
-            assert lhs == [Fraction(1, 3) * e for e in line.sign_vector]
-            norm = sum(line.coords[i] * lhs[i] for i in range(8))
-            assert norm == 1
     assert sorted(totals) == [8, 14, 14]
+    for seed in [*enum_8_third.seeds, *enum_7_sqrt13.seeds]:
+        cs = candidates(seed)
+        for line, gc in zip(cs.lines, _gram_products(seed, cs)):
+            assert gc == [seed.alpha * e for e in line.sign_vector]
+            assert sum(map(mul, line.coords, gc)) == 1
 
 
 def test_m_alpha_8_third(m_8_third):
@@ -122,23 +134,27 @@ def test_realized_sets_verified(enum_8_third):
                     assert e.seidel.rows[i][j] in (1, -1)
 
 
-def test_compatibility_graph_edges(enum_8_third):
-    seed = max(enum_8_third.seeds, key=lambda s: s.graph.edge_count())
-    cs = candidates(seed)
-    g = compatibility_graph(cs)
-    # every edge corresponds to an exact +-alpha inner product
-    gram = seed.gram()
-    for i in range(g.n):
-        ci = cs.lines[i].coords
-        for j in range(i + 1, g.n):
-            cj = cs.lines[j].coords
-            inner = sum(
-                ci[a] * gram.entry(a, b) * cj[b] for a in range(8) for b in range(8)
-            )
-            if g.has_edge(i, j):
-                assert inner in (Fraction(1, 3), Fraction(-1, 3))
-            else:
-                assert inner not in (Fraction(1, 3), Fraction(-1, 3))
+def test_compatibility_graph_edges(enum_8_third, enum_7_sqrt13):
+    """Two candidate lines are joined exactly when their inner product,
+    from exact Gram products, is +-alpha: on the (8, 1/3) seed with the
+    most edges (bscale = 1) and on every (7, 1/sqrt(13)) seed
+    (bscale = sqrt(13)), of which 30 have two or more candidates, with 966
+    edges in all."""
+    seed8 = max(enum_8_third.seeds, key=lambda s: s.graph.edge_count())
+    pairs = edges = 0  # (7, 1/sqrt(13)) seeds with two or more candidates, and their edges
+    for seed in [seed8, *enum_7_sqrt13.seeds]:
+        cs = candidates(seed)
+        g = compatibility_graph(cs)
+        gcs = _gram_products(seed, cs)
+        nc = len(cs.lines)
+        for i in range(nc):
+            ci = cs.lines[i].coords
+            for j in range(i + 1, nc):
+                inner = sum(map(mul, ci, gcs[j]))
+                assert g.has_edge(i, j) == (inner in (seed.alpha, -seed.alpha))
+        if seed is not seed8 and nc >= 2:
+            pairs, edges = pairs + 1, edges + g.edge_count()
+    assert (pairs, edges) == (30, 966)
 
 
 def test_table3_fast_cells(table3_fast):
@@ -341,10 +357,11 @@ def test_packed_scan_matches_direct_products(m, data):
 @settings(max_examples=80, deadline=None)
 @given(m=_symmetric_int_matrices(), data=st.data())
 def test_unit_candidates_at_two_sevenths(m, data):
-    """At angle 2/7 (corner 7, bscale^2 = 4) eps is a unit candidate when
-    quad * bscale^2 == corner * det.  The scanned matrix is 7*m, so
-    det = 4*q for a quad q of m has candidates, and a det not divisible by
-    4 has none, since corner*det / bscale^2 is then not an integer."""
+    """At angle 2/7 (corner 7, bscale = 2) eps is a unit candidate when
+    quad * bscale^2 == corner * det, with the border vector bscale * m eps.
+    The scanned matrix is 7*m, so det = 4*q for a quad q of m has
+    candidates, and a det not divisible by 4 has none, since
+    corner*det / bscale^2 is then not an integer."""
     n = len(m)
     mode = _alpha_mode(Fraction(2, 7))
     m7 = [[7 * x for x in row] for row in m]
@@ -352,7 +369,7 @@ def test_unit_candidates_at_two_sevenths(m, data):
     q = data.draw(st.sampled_from([quad[0] for _, quad, _ in full])) // 7
     det = 4 * q + data.draw(st.sampled_from([0, 0, 1, 2, 3, -4, 4]))
     want = [
-        (_sign_vector(mask, n), u)
+        (_sign_vector(mask, n), [[mode.bscale * x for x in u[0]]])
         for mask, quad, u in full
         if quad[0] * mode.bscale_sq == mode.corner * det
     ]
@@ -398,11 +415,14 @@ def test_packed_scan_over_a_quadratic_ring(pair, data):
     g = data.draw(st.integers(0, len(quads) - 1))
     ta, tb = quads[g][0] + data.draw(st.sampled_from([0, 0, 1])), quads[g][1]
     hits = [i for i, q in enumerate(quads) if q == (ta, tb)]
-    # 1/sqrt(17) has corner = bscale^2 = 17, so the unit target is det itself
+    # 1/sqrt(17) has corner = bscale^2 = 17, so the unit target is det itself;
+    # bscale = sqrt(17) turns u = ua + ub*sqrt(17) into the border vector 17*ub + ua*sqrt(17)
     mode = _alpha_mode(parse_scalar("1/sqrt(17)"))
+    assert mode.bscale == (0, 1)
     cands = _candidate_data_raw(mode, (ta, tb), [a, b], n)
     assert cands == [
-        (_sign_vector(walk_a[i][0], n), [walk_a[i][2][0], walk_b[i][2][0]]) for i in hits
+        (_sign_vector(walk_a[i][0], n), [[17 * y for y in walk_b[i][2][0]], walk_a[i][2][0]])
+        for i in hits
     ]
     det = (ta + data.draw(st.integers(-2, 2)), tb + data.draw(st.integers(-2, 2)))
     # the expected PD children by QuadExt arithmetic on the same values
@@ -439,7 +459,7 @@ def test_ladder_adjugates_are_exact(alpha):
     det = (e, f); the products are formed here on the coordinates."""
     mode = _alpha_mode(parse_scalar(alpha))
     d = mode.d
-    records = _pd_ladder(mode, 6)
+    records = list(_pd_ladder(mode, 6))
     assert records
     for rec in records:
         masks, det = rec["masks"], rec["det"]
