@@ -20,9 +20,9 @@ from functools import lru_cache
 from math import comb
 
 from equiangular.exactnum import QuadExt, Scalar, inv_sqrt, quad_sign
-from equiangular.linalg import SymMatrix
+from equiangular.linalg import SymMatrix, rank_of
 from equiangular.pillars import PillarDecomposition, decompose
-from equiangular.seidel import EquiangularSet, SeidelMatrix, SwitchingOp, switch
+from equiangular.seidel import EquiangularSet, SeidelMatrix, SwitchingOp, square_mismatch, switch
 
 # The six octads through point 1 whose hatted vectors (last three negated)
 # form the 6-base of the 276-line system.
@@ -195,41 +195,24 @@ def _two_eigenvalue_multiplicities(
     """Multiplicities (m_lo, m_hi) of the distinct eigenvalues lo, hi of a Seidel
     matrix A (zero diagonal, +-1 off it, symmetric) whose spectrum is
     certified to lie in {lo, hi} by (A - lo I)(A - hi I) = 0, i.e.
-    A^2 = (lo + hi) A - lo hi I, checked entry by entry on +-1 row bitmasks.
+    A^2 = (lo + hi) A - lo hi I, checked by ``seidel.square_mismatch``.
 
     A real symmetric matrix annihilated by (x - lo)(x - hi) is diagonalizable
     with eigenvalues in {lo, hi}, so m_lo + m_hi = n and lo m_lo + hi m_hi =
-    tr A fix the multiplicities; rank(A - lo I) = m_hi, rank(A - hi I) = m_lo.
+    tr A = 0 fix the multiplicities; rank(A - lo I) = m_hi, rank(A - hi I) = m_lo.
     Raises AssertionError when A is not such a matrix."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise AssertionError(f"not a square matrix of order {n}")
-    pos = [0] * n
-    neg = [0] * n
-    for i, row in enumerate(rows):
-        if row[i] != 0:
-            raise AssertionError(f"nonzero diagonal entry at {i}")
-        for j, x in enumerate(row):
-            if x != rows[j][i]:
-                raise AssertionError(f"not symmetric at ({i},{j})")
-            if x == 1:
-                pos[i] |= 1 << j
-            elif x == -1:
-                neg[i] |= 1 << j
-            elif i != j:
-                raise AssertionError(f"entry {x!r} at ({i},{j}) is not +-1")
+    try:
+        seidel = SeidelMatrix(rows)
+    except ValueError as exc:
+        raise AssertionError(str(exc)) from None
+    n = seidel.n
     s, p = lo + hi, lo * hi
-    for i in range(n):
-        pi, ni = pos[i], neg[i]
-        if (pi | ni).bit_count() != -p:
-            raise AssertionError(f"(A^2)[{i}][{i}] != {-p}")
-        for j in range(i + 1, n):
-            pj, nj = pos[j], neg[j]
-            sq = ((pi & pj) | (ni & nj)).bit_count() - ((pi & nj) | (ni & pj)).bit_count()
-            if sq != s * rows[i][j]:
-                raise AssertionError(f"A^2 != {s}A + {-p}I at ({i},{j})")
-    trace = sum(row[i] for i, row in enumerate(rows))
-    m_hi, rem = divmod(trace - lo * n, hi - lo)
+    if -p != n - 1:
+        raise AssertionError(f"(A^2)[i][i] = {n - 1} != {-p}")
+    bad = square_mismatch(seidel, s)
+    if bad is not None:
+        raise AssertionError(f"A^2 != {s}A + {-p}I at ({bad[0]},{bad[1]})")
+    m_hi, rem = divmod(-lo * n, hi - lo)
     m_lo = n - m_hi
     if rem or m_lo < 0 or m_hi < 0:
         raise AssertionError("multiplicities are not non-negative integers")
@@ -241,15 +224,17 @@ def witt_spectrum_certificate() -> dict:
     55 with multiplicities 253 and 23, certified by A^2 = 50A + 275I, i.e.
     (A + 5I)(A - 55I) = 0, together with tr A = 0.  The ranks of A + 5I and
     A - 55I are derived from the multiplicities; rank(A + 5I) is cross-checked
-    against the PSD-certified rank of the Gram matrix I + A/5, and the second
-    moment 25 m_-5 + 3025 m_55 against sum A_ij^2 = n(n - 1).  Raises
-    AssertionError when a check fails."""
-    lines = witt276().lines
-    rows = lines.seidel.rows
+    against the exact rank of sum v v^T over the 276 integer vectors (their
+    Gram is 16(A + 5I)), and the second moment 25 m_-5 + 3025 m_55 against
+    sum A_ij^2 = n(n - 1).  Raises AssertionError when a check fails."""
+    ws = witt276()
+    rows = ws.lines.seidel.rows
     n = len(rows)
     m_lo, m_hi = _two_eigenvalue_multiplicities(rows, -5, 55)
-    if m_hi != lines.rank:
-        raise AssertionError(f"rank(A + 5I) = {m_hi} but the Gram rank is {lines.rank}")
+    coords = list(zip(*ws.vectors))
+    span = rank_of(SymMatrix([[sum(a * b for a, b in zip(x, y)) for y in coords] for x in coords]))
+    if m_hi != span:
+        raise AssertionError(f"rank(A + 5I) = {m_hi} but the vectors span {span} dimensions")
     trace_sq = sum(x * x for row in rows for x in row)
     cert = {
         "order": n,

@@ -152,14 +152,17 @@ class SymMatrix:
 class PsdCertificate:
     """Outcome of the exact PSD decision.
 
-    For PSD verdicts ``pivot_order`` lists the diagonal pivots used (rank many);
-    for the indefinite verdict ``witness`` is a vector with v^T M v < 0.
+    From ``psd_check``, ``pivot_order`` lists the pivots of a PSD verdict (rank
+    many) and ``witness`` is a v with v^T M v < 0 for the indefinite one; from
+    ``seidel.two_eigenvalue_certificate``, ``square_coefficient`` is the a of
+    A^2 = aA + (n - 1)I, which with alpha fixes verdict and rank.
     """
 
     verdict: str
     rank: int
     pivot_order: tuple[int, ...] | None = None
     witness: tuple[Scalar, ...] | None = None
+    square_coefficient: int | None = None
 
     @property
     def is_psd(self) -> bool:

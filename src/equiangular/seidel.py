@@ -295,8 +295,11 @@ class SeidelMatrix:
             if self.rows[i][i] != 0:
                 raise ValueError("diagonal must be zero")
             for j in range(i + 1, n):
-                if self.rows[i][j] not in (1, -1) or self.rows[i][j] != self.rows[j][i]:
-                    raise ValueError("off-diagonal entries must be symmetric +-1")
+                x = self.rows[i][j]
+                if x != self.rows[j][i]:
+                    raise ValueError(f"not symmetric at ({i},{j})")
+                if x not in (1, -1):
+                    raise ValueError(f"entry {x!r} at ({i},{j}) is not +-1")
 
     @property
     def n(self) -> int:
@@ -373,13 +376,52 @@ def gram_matrix(alpha: Scalar, seidel: SeidelMatrix) -> SymMatrix:
     return SymMatrix([[entry[x] for x in row] for row in seidel.rows])
 
 
+def square_mismatch(seidel: SeidelMatrix, a: int) -> tuple[int, int] | None:
+    """The first pair i < j, row by row, at which the Seidel matrix A breaks
+    A^2 = aA + (n - 1)I, or None.  The diagonal always holds; off it, with P_i
+    the bitmask of the +1 entries of row i, (A^2)_ij = n + 2A_ij - 2|P_i ^ P_j|
+    (rows i and j differ off {i, j} in |P_i ^ P_j| - 1 - A_ij places)."""
+    n = seidel.n
+    pos = [sum(1 << j for j, x in enumerate(row) if x == 1) for row in seidel.rows]
+    for i, (row, p) in enumerate(zip(seidel.rows, pos)):
+        for j in range(i + 1, n):
+            if 2 * (p ^ pos[j]).bit_count() != n + (2 - a) * row[j]:
+                return i, j
+    return None
+
+
+def two_eigenvalue_certificate(alpha: Scalar, seidel: SeidelMatrix) -> PsdCertificate | None:
+    """The PSD verdict and rank of I + alpha*A read off A^2 = aA + (n - 1)I, or
+    None (n < 3, no such identity, -1/alpha not a root, a*alpha + 2 <= 0).
+
+    The eigenvalues of A are roots of x^2 - ax - (n - 1).  If -1/alpha is one,
+    the other is a + 1/alpha; A is diagonalizable and tr A = 0 gives the latter
+    the multiplicity m = n / (a*alpha + 2), so I + alpha*A is PSD of rank m
+    (eigenvalues 0 and a*alpha + 2 > 0)."""
+    n, rows = seidel.n, seidel.rows
+    if n < 3:
+        return None
+    a = rows[0][1] * sum(x * y for x, y in zip(rows[0], rows[1]))  # (A^2)_01 / A_01
+    top = a * alpha + 2
+    if (1 + a * alpha - (n - 1) * alpha * alpha != 0 or quad_sign(top) <= 0
+            or square_mismatch(seidel, a) is not None):
+        return None
+    m = scalar_floor(n / top)
+    if m * top != n or not 0 <= m <= n:
+        raise AssertionError(f"multiplicity {format_scalar(n / top)} is not in 0..{n}")
+    verdict = linalg.POSITIVE_DEFINITE if m == n else linalg.POSITIVE_SEMIDEFINITE_SINGULAR
+    return PsdCertificate(verdict, m, square_coefficient=a)
+
+
 class EquiangularSet:
     """An equiangular line system: angle alpha in (0,1) plus a Seidel matrix.
 
     The Gram matrix I + alpha*A is certified positive semidefinite on
-    construction; the certificate also fixes the exact rank.  A precomputed
-    certificate may be supplied when the PSD property is inherited (switching,
-    principal embeddings), which skips the elimination but keeps the invariant.
+    construction; the certificate also fixes the exact rank, read off
+    A^2 = aA + (n - 1)I by ``two_eigenvalue_certificate`` when it applies (the
+    Witt system, tight frames) and from ``linalg.psd_check`` otherwise.  A
+    precomputed certificate may be supplied when the PSD property is inherited
+    (switching, principal embeddings), which skips both but keeps the invariant.
     """
 
     __slots__ = ("alpha", "seidel", "_psd")
@@ -397,6 +439,8 @@ class EquiangularSet:
             raise ValueError("alpha must lie in (0,1)")
         self.alpha = alpha
         self.seidel = seidel
+        if psd_certificate is None:
+            psd_certificate = two_eigenvalue_certificate(alpha, seidel)
         if psd_certificate is None:
             psd_certificate = linalg.psd_check(self.gram())
             if psd_certificate.verdict == INDEFINITE:

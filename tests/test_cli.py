@@ -69,17 +69,34 @@ def test_bound_table2_text(capsys):
 
 
 def test_construct_verify_round_trip(tmp_path, capsys):
-    for argv in (
-        ["construct", "paley", "--q", "17"],
-        ["construct", "simplex", "--k", "5", "--alpha", "1/5"],
-        ["construct", "block52", "--ell", "2"],
+    singular = "positive_semidefinite_singular"
+    for argv, rank, psd in (
+        (["construct", "witt276"], 23, singular),
+        (["construct", "paley", "--q", "17"], 9, singular),
+        (["construct", "simplex", "--k", "6", "--alpha", "1/5"], 5, singular),
+        (["construct", "simplex", "--k", "5", "--alpha", "1/5"], 5, "positive_definite"),
+        (["construct", "block52", "--ell", "2"], 5, singular),
     ):
         path = tmp_path / "system.json"
         code, _ = run_cli(capsys, *argv, "--out", str(path))
         assert code == 0
         code, out = run_cli(capsys, "verify", str(path))
         assert code == 0
-        assert json.loads(out)["ok"]
+        payload = json.loads(out)
+        assert payload["ok"]
+        assert (payload["rank"], payload["psd"]) == (rank, psd), argv
+
+
+def test_verify_conference_matrix_off_its_angle(tmp_path, capsys):
+    # the order-6 Paley conference matrix has eigenvalues +-sqrt(5): at 1/2 the
+    # Gram I + A/2 has the negative eigenvalue 1 - sqrt(5)/2
+    rows = [[0, 1, 1, 1, 1, 1], [1, 0, 1, -1, -1, 1], [1, 1, 0, 1, -1, -1],
+            [1, -1, 1, 0, 1, -1], [1, -1, -1, 1, 0, 1], [1, 1, -1, -1, 1, 0]]
+    path = tmp_path / "conference.json"
+    path.write_text(json.dumps({"alpha": "1/2", "seidel": rows}))
+    code, out = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert json.loads(out)["ok"] is False
 
 
 def test_verify_corrupted_gram(tmp_path, capsys):

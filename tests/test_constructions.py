@@ -158,6 +158,24 @@ def test_witt_with_one_flipped_pair_is_rejected_under_optimize():
     assert "AssertionError: A^2 != 50A + 275I" in proc.stderr
 
 
+def test_frame_one_entry_off_its_identity_is_rejected_under_optimize():
+    # the two-eigenvalue route declines and the elimination finds a witness
+    code = (
+        "from equiangular.constructions import conference_etf, paley_conference\n"
+        "from equiangular.seidel import EquiangularSet, SeidelMatrix, "
+        "two_eigenvalue_certificate\n"
+        "etf = conference_etf(paley_conference(17))\n"
+        "rows = [list(r) for r in etf.seidel.rows]\n"
+        "rows[3][11] = rows[11][3] = -rows[3][11]\n"
+        "seidel = SeidelMatrix(tuple(map(tuple, rows)))\n"
+        "print(two_eigenvalue_certificate(etf.alpha, seidel))\n"
+        "EquiangularSet(etf.alpha, seidel)\n"
+    )
+    proc = _run_python("-O", "-c", code)
+    assert proc.returncode != 0 and proc.stdout == "None\n"
+    assert "ValueError: Gram matrix I + alpha*A is not positive semidefinite" in proc.stderr
+
+
 @pytest.mark.parametrize("rows, reason", [
     (((1, 1), (1, 0)), "diagonal"),
     (((0, 1), (-1, 0)), "symmetric"),

@@ -7,9 +7,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiangular.constructions import simplex_base
+from equiangular import saturate
+from equiangular.constructions import conference_etf, paley_conference, simplex_base
 from equiangular.exactnum import parse_scalar
-from equiangular.linalg import INDEFINITE, psd_check
+from equiangular.linalg import (
+    INDEFINITE,
+    POSITIVE_DEFINITE,
+    POSITIVE_SEMIDEFINITE_SINGULAR,
+    psd_check,
+)
 from equiangular.seidel import (
     EquiangularSet,
     Graph,
@@ -21,8 +27,10 @@ from equiangular.seidel import (
     gram_matrix,
     graph_to_graph6,
     max_clique,
+    square_mismatch,
     switch,
     switching_normalize,
+    two_eigenvalue_certificate,
 )
 
 
@@ -294,3 +302,118 @@ def test_gram_equals_the_per_entry_products(seidel, alpha):
     ]
     if psd_check(got).verdict != INDEFINITE:
         assert EquiangularSet(alpha, seidel).gram() == got
+
+
+# -- the two certificate routes ------------------------------------------------
+
+
+def _identity_route(alpha, seidel, a, rank):
+    """Certify on the two-eigenvalue route and check the (verdict, rank) of
+    the elimination on the same Gram matrix."""
+    e = EquiangularSet(alpha, seidel)
+    cert = e.psd_certificate
+    assert cert.square_coefficient == a and cert.pivot_order is None
+    assert cert.rank == rank
+    oracle = psd_check(e.gram())
+    assert (cert.verdict, cert.rank) == (oracle.verdict, oracle.rank)
+    return e
+
+
+def _elimination_route(alpha, seidel):
+    """The two-eigenvalue route declines, and the set keeps the full
+    certificate of psd_check (pivot order included)."""
+    assert two_eigenvalue_certificate(alpha, seidel) is None
+    e = EquiangularSet(alpha, seidel)
+    assert e.psd_certificate == psd_check(e.gram())
+    assert e.psd_certificate.pivot_order is not None
+    assert e.psd_certificate.square_coefficient is None
+    return e
+
+
+def _flip_pair(seidel, i, j):
+    rows = [list(r) for r in seidel.rows]
+    rows[i][j] = rows[j][i] = -rows[i][j]
+    return SeidelMatrix(tuple(map(tuple, rows)))
+
+
+def test_witt_and_switched_witt_take_the_identity_route(witt, witt_pillars):
+    switched, _ = witt_pillars
+    for seidel in (witt.lines.seidel, switched.seidel):
+        e = _identity_route(Fraction(1, 5), seidel, 50, 23)
+        assert e.psd_certificate.verdict == POSITIVE_SEMIDEFINITE_SINGULAR
+
+
+def test_witt_with_one_flipped_pair_falls_back_and_is_indefinite(witt):
+    seidel = _flip_pair(witt.lines.seidel, 3, 200)
+    assert square_mismatch(seidel, 50) is not None
+    assert two_eigenvalue_certificate(Fraction(1, 5), seidel) is None
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        EquiangularSet(Fraction(1, 5), seidel)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q=st.sampled_from((5, 13, 17)),
+    data=st.data(),
+)
+def test_switched_paley_frames_take_the_identity_route(q, data):
+    n = q + 1
+    perm = tuple(data.draw(st.permutations(range(n))))
+    flips = data.draw(st.frozensets(st.integers(0, n - 1)))
+    etf = conference_etf(paley_conference(q))
+    seidel = SwitchingOp(flips, perm).apply(etf.seidel)
+    _identity_route(etf.alpha, seidel, 0, n // 2)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 7, 9])
+def test_dependent_simplex_takes_the_identity_route(m):
+    # K = 1/alpha + 1 lines: A = -(J - I), A^2 = -(K - 2)A + (K - 1)I
+    k = m + 1
+    e = simplex_base(k, Fraction(1, m))
+    _identity_route(e.alpha, e.seidel, -(k - 2), k - 1)
+
+
+def test_sqrt17_maximizers_take_the_identity_route(table3_fast):
+    alpha = parse_scalar("1/sqrt(17)")
+    seeds = table3_fast[(9, "1/sqrt(17)")].certificate["maximizing_seeds"]
+    assert len(seeds) == 186
+    for entry in seeds:
+        seed = saturate.seed_for_graph(9, alpha, graph_from_graph6(entry["graph6"]))
+        e = saturate.realize(seed, saturate.candidates(seed), entry["witness"])
+        _identity_route(alpha, e.seidel, 0, 9)
+
+
+def test_conference_matrix_off_its_angle_falls_back():
+    seidel = conference_etf(paley_conference(5)).seidel  # eigenvalues +-sqrt(5)
+    e = _elimination_route(Fraction(1, 3), seidel)
+    assert (e.psd_certificate.verdict, e.rank) == (POSITIVE_DEFINITE, 6)
+    assert two_eigenvalue_certificate(Fraction(1, 2), seidel) is None
+    assert psd_check(gram_matrix(Fraction(1, 2), seidel)).verdict == INDEFINITE
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        EquiangularSet(Fraction(1, 2), seidel)
+
+
+def test_independent_simplex_falls_back():
+    e = _elimination_route(Fraction(1, 5), simplex_base(5, Fraction(1, 5)).seidel)
+    assert (e.psd_certificate.verdict, e.rank) == (POSITIVE_DEFINITE, 5)
+
+
+def test_fifth_maximizer_falls_back(table3_fast):
+    entry = table3_fast[(9, "1/5")].certificate["maximizing_seeds"][0]
+    seed = saturate.seed_for_graph(9, Fraction(1, 5), graph_from_graph6(entry["graph6"]))
+    e = saturate.realize(seed, saturate.candidates(seed), entry["witness"])
+    assert e.n == 12
+    _elimination_route(e.alpha, e.seidel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seidel=_seidel_matrices(), a=st.integers(-12, 12))
+def test_square_mismatch_matches_the_matrix_square(seidel, a):
+    rows, n = seidel.rows, seidel.n
+    bad = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if sum(x * y for x, y in zip(rows[i], rows[j])) != a * rows[i][j]
+    ]
+    assert square_mismatch(seidel, a) == (bad[0] if bad else None)
