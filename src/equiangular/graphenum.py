@@ -8,9 +8,13 @@ backtracking isomorphism test.  Three filters keep the candidate stream small:
 * a completeness-preserving representative rule (the new vertex must land in
   the minimum refinement color: deleting a minimum-color vertex of any target
   class reaches a stored parent, so every class is still produced),
-* a twin rule: a child that a twin swap of its parent maps onto the child of
-  an earlier mask of that parent is skipped before refinement, since the
-  two are isomorphic (see ``attach_vertex``), and
+* an orbit rule: a child that an automorphism of its parent maps onto the
+  child of an earlier mask of that parent is skipped before refinement,
+  since the two are isomorphic with the new vertex fixed.  The
+  automorphisms are the parent's twin swaps and the maps the duplicate
+  filter finds between two children of the parent (see ``attach_vertex``;
+  the nauty form of the idea is McKay and Piperno, "Practical graph
+  isomorphism, II", J. Symbolic Comput. 2014), and
 * hereditary pruning by the caller, which chooses the children it offers (the
   saturation search offers only positive-definite Gram extensions: principal
   submatrices of PD matrices are PD, so pruned parents cannot have unpruned
@@ -33,8 +37,9 @@ the weighted count of v's neighbor colors; see ``refine_colors``.
 The duplicate filter (``ClassSet``) holds one int per class, its adjacency
 and colors packed together, under a key that packs the sorted final-color
 signatures into one int; the colors are stored, never recomputed, for the
-isomorphism tests.  A ladder step thus needs the parent level plus one int
-per new class.
+isomorphism tests, and the signatures come from the refinement's last round
+when its colors are stable.  A ladder step thus needs the parent level plus
+one int per new class.
 
 Adjacency is the bitmask-row form of seidel.Graph.
 """
@@ -90,7 +95,12 @@ def _signatures(nv: int, rows: Sequence[int], col: Sequence[int]) -> list[int]:
 
 
 def refine_colors(
-    nv: int, adj: Sequence[int], rounds: int = 3, *, _watch: int | None = None
+    nv: int,
+    adj: Sequence[int],
+    rounds: int = 3,
+    *,
+    _watch: int | None = None,
+    _sigs: list[int] | None = None,
 ) -> list[int]:
     """Iterated neighborhood color refinement; colors are canonical integers
     (sorted-signature rank), so results are machine-independent.
@@ -99,7 +109,9 @@ def refine_colors(
     refinement stops after the first round that moves vertex ``_watch`` out
     of color 0 and returns that round's colors; a vertex out of the minimum
     color never returns to it, so only ``col[_watch] != 0`` is meaningful
-    then.  Otherwise every round runs.
+    then.  Otherwise every round runs.  When the colors come out stable,
+    the signatures of their last round are appended to ``_sigs`` (the
+    duplicate filter's key is built from them, see ``ClassSet.add``).
 
     A signature is (color, sorted neighbor colors).  Vertices of one color
     have one degree, and among equal-length sorted tuples the order is that
@@ -116,6 +128,8 @@ def refine_colors(
         rankof = {s: i for i, s in enumerate(sorted(set(sig)))}
         new = [rankof[s] for s in sig]
         if new == col:
+            if _sigs is not None:
+                _sigs += sig  # the signatures of the returned colors
             break
         col = new
         if _watch is not None and col[_watch]:
@@ -199,9 +213,10 @@ class ClassSet:
         sbits = _layout(nv)[0] + nv.bit_length()  # a signature is at most nv << width
         self._sig_shifts = [sbits * v for v in range(nv)]
 
-    def _key(self, adj: AdjList, col: Sequence[int]) -> int:
-        sigs = sorted(_signatures(self.nv, _spread_rows(self.nv, adj), col))
-        return sum(map(lshift, sigs, self._sig_shifts))
+    def _key(self, adj: AdjList, col: Sequence[int], sigs: Sequence[int] = ()) -> int:
+        if not sigs:
+            sigs = _signatures(self.nv, _spread_rows(self.nv, adj), col)
+        return sum(map(lshift, sorted(sigs), self._sig_shifts))
 
     def _unpack(self, packed: int) -> tuple[AdjList, list[int]]:
         rows, cols = self._row_mask, self._col_mask
@@ -210,14 +225,28 @@ class ClassSet:
             [packed >> s & cols for s in self._col_shifts],
         )
 
-    def add(self, adj: AdjList, col: Sequence[int]) -> bool:
-        """Insert unless isomorphic to a stored class; returns True if new."""
-        key = self._key(adj, col)
+    def add(
+        self,
+        adj: AdjList,
+        col: Sequence[int],
+        *,
+        _sigs: Sequence[int] = (),
+        _hit: list | None = None,
+    ) -> bool:
+        """Insert unless isomorphic to a stored class; returns True if new.
+        ``_sigs``, when given, are the signatures of col (``refine_colors``'s
+        ``_sigs``) and spare recomputing them for the key.  On a duplicate,
+        (the isomorphism adj -> stored, the stored adjacency) is appended to
+        ``_hit`` (``attach_vertex`` reads parent automorphisms off it)."""
+        key = self._key(adj, col, _sigs)
         stored = self.first.get(key)
         if stored is not None:
             for other in [stored, *self.rest.get(key, ())]:
                 oadj, ocol = self._unpack(other)
-                if find_isomorphism(self.nv, adj, oadj, col, ocol) is not None:
+                iso = find_isomorphism(self.nv, adj, oadj, col, ocol)
+                if iso is not None:
+                    if _hit is not None:
+                        _hit.append((iso, oadj))
                     return False
         packed = sum(map(lshift, adj, self._row_shifts)) + sum(
             map(lshift, col, self._col_shifts)
@@ -240,6 +269,16 @@ def _twin_pairs(adj: Sequence[int]) -> list[int]:
     ]
 
 
+def _mask_images(perm: Sequence[int], h: int) -> tuple[list[int], list[int]]:
+    """(lo, hi) with lo[m & (1 << h) - 1] | hi[m >> h] the image of the vertex
+    mask m under the vertex map v -> perm[v]."""
+    lo, hi = [0], [0]
+    for t, part in ((lo, perm[:h]), (hi, perm[h:])):
+        for u in part:
+            t += [x | 1 << u for x in t]
+    return lo, hi
+
+
 def attach_vertex(
     classes: ClassSet, adj: Sequence[int], nbs: Iterable[int]
 ) -> list[tuple[int, AdjList]]:
@@ -255,37 +294,58 @@ def attach_vertex(
     deg - 1 (below[deg - 1] == 0) and every vertex of degree deg - 1 gains
     the new vertex (below[deg] & ~nb == 0).
 
-    Twin rule: when u, v are twins of the parent, the transposition (u v) is
-    an automorphism of it, and with the new vertex fixed it maps the child of
-    a mask nb holding exactly one of u, v onto the child of nb ^ (1<<u | 1<<v).
-    The degree rule, the color rule and the dedup each give isomorphic
-    children (new vertex fixed) one verdict, so a child whose twin image
-    passed the degree rule earlier would be rejected anyway: it is skipped
-    before refinement, and the output is the same for any masks in any order."""
+    Orbit rule: an automorphism s of the parent, with the new vertex fixed,
+    maps the child of a mask nb onto the child of s(nb).  The degree rule,
+    the color rule and the dedup each give isomorphic children (new vertex
+    fixed) one verdict, so a child is skipped before refinement when s(nb)
+    already passed the degree rule for a known s: the output is the same
+    for any masks in any order.  The known automorphisms are the twin
+    transpositions (u v) of ``_twin_pairs`` and every map the dedup finds
+    from a child onto a stored child of this same parent with k fixed,
+    whose restriction is an automorphism of the parent (kept with its
+    inverse); the search builds no automorphism group of its own."""
     k = len(adj)
     below = [0] * (k + 2)
     for v, a in enumerate(adj):
         for t in range(a.bit_count() + 1, k + 2):
             below[t] |= 1 << v
-    twins = _twin_pairs(adj)
-    seen = set()  # the masks that passed the degree rule, if twins exist
+    h, parent, rows = k // 2, list(adj), (1 << k) - 1
+    autos = {}  # each known automorphism -> its image tables (_mask_images)
+    for t in _twin_pairs(adj):
+        swap = list(range(k))
+        u, v = (t & -t).bit_length() - 1, t.bit_length() - 1
+        swap[u], swap[v] = v, u
+        autos[tuple(swap)] = _mask_images(swap, h)
+    low = (1 << h) - 1
+    seen = set()  # the masks that passed the degree rule
     out = []
     for nb in nbs:
         deg = nb.bit_count()
         if deg and (below[deg - 1] or below[deg] & ~nb):
             continue  # representative rule, by degree: color 0 has minimum degree
-        if twins:
-            known = any(nb ^ t in seen for t in twins if nb & t != t and nb & t)
-            seen.add(nb)
-            if known:
-                continue  # a twin swap maps this child onto an earlier one
+        known = any(lo[nb & low] | hi[nb >> h] in seen for lo, hi in autos.values())
+        seen.add(nb)
+        if known:
+            continue  # an automorphism maps this child onto an earlier one
         na = [a | ((nb >> i & 1) << k) for i, a in enumerate(adj)]
         na.append(nb)
-        col = refine_colors(k + 1, na, _watch=k)
+        sigs = []
+        col = refine_colors(k + 1, na, _watch=k, _sigs=sigs)
         if col[k] != 0:
             continue  # representative rule: new vertex must be of minimum color
-        if classes.add(na, col):
+        hit = []
+        if classes.add(na, col, _sigs=sigs, _hit=hit):
             out.append((nb, na))
+        elif hit:
+            iso, other = hit[0]
+            perm = tuple(iso[:k])  # an automorphism of the parent, if the guard holds
+            if iso[k] == k and perm not in autos and [a & rows for a in other[:k]] == parent:
+                inv = [0] * k
+                for v, u in enumerate(perm):
+                    inv[u] = v
+                for known_map in (perm, tuple(inv)):  # an involution is its own inverse
+                    if known_map not in autos:
+                        autos[known_map] = _mask_images(known_map, h)
     return out
 
 

@@ -59,16 +59,24 @@ L = bscale * (adj beta) . eps:
 
 So P(beta) * P(eps) must be bscale^2 times a square, and then the product
 of the int keys of P(beta) and P(eps) (the element over Z, its norm over
-Z[sqrt d]) is a perfect square.
+Z[sqrt d]) is a perfect square: the two keys lie in one square class, or
+the key of P(eps) is 0.  Each parent's sign vectors are grouped once by a
+key that every member of a square class shares (_square_class_key: the
+sign, the primes below 50 of odd exponent and the quadratic characters of
+the rest), memoised per value P for one search (for one task with a
+worker pool), and a child tests only the sign vectors of its own group and
+of key 0 (_children_totals).
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import islice
-from math import isqrt, lcm
+from math import lcm
 from operator import add, mul, neg
 from typing import Iterable, Iterator, Sequence
 
@@ -316,7 +324,9 @@ def _sign_quads(ms: list[list[list[int]]]) -> list[list[int]]:
     order; neg is minus the sum of the negative m_ij.  Every partial sum of
     a field lies in [0, reach], reach = sum of |m_ij| over i < j, so no field
     carries into the next; a field is the least whole number of bytes that
-    holds reach, and at least one (reach is 0 for a 1x1 matrix)."""
+    holds reach, and at least one (reach is 0 for a 1x1 matrix).  Fields of
+    up to 8 bytes are copied into 8-byte slots, one strided slice per byte,
+    and read as one array("Q"); wider fields are read one slice each."""
     n = len(ms[0])
     upper = [[row[j] for i, row in enumerate(m) for j in range(i + 1, n)] for m in ms]
     reach = max(sum(map(abs, xs)) for xs in upper)
@@ -328,9 +338,16 @@ def _sign_quads(ms: list[list[list[int]]]) -> list[list[int]]:
         neg = -sum([x for x in xs if x < 0])
         base = sum(map(sum, m)) + 4 * neg  # q1 + 4*neg
         raw = sum(map(mul, xs, pairs), neg * ones).to_bytes(size, "little")
-        out.append(
-            [base - 4 * int.from_bytes(raw[i:i + step], "little") for i in range(0, size, step)]
-        )
+        if step > 8:
+            fields = (int.from_bytes(raw[i:i + step], "little") for i in range(0, size, step))
+        else:  # widen each field to an 8-byte slot and read them all as one array
+            wide = bytearray(8 << (n - 1))
+            for b in range(step):
+                wide[b::8] = raw[b::step]
+            fields = array("Q", wide)
+            if sys.byteorder == "big":
+                fields.byteswap()
+        out.append([base - 4 * x for x in fields])
     return out
 
 
@@ -563,12 +580,58 @@ def _ring_ops(d: int):
     )
 
 
-def _children_totals(mode: _Mode, det, ms: list, pvals: list, nbs: list[int], r: int) -> list[int]:
+_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_RESIDUES = tuple(frozenset(x * x % q for x in range(1, q)) for q in _ODD_PRIMES)
+
+
+def _square_class_key(n: int) -> int:
+    """A key shared by the ints of one square class: x*y a nonzero perfect
+    square gives key(x) == key(y) (0 for n = 0 alone).  It is s << 17 | bits,
+    with s the sign of n times the primes below 50 of odd exponent in n,
+    and bits read from the rest m of n, prime to them, through invariants
+    that squares do not change: m mod 8 and, at bit 8 << i, whether m is a
+    non-residue mod the i-th odd prime below 50.  For x*y a square,
+    m_x * m_y is an odd square prime to those primes, so m_x = m_y mod 8
+    and the two have one quadratic character mod each.  Ints of different
+    classes may share a key, which costs only candidate tests that fail;
+    nothing is divided by a prime past 47, so the cost is bounded by the
+    size of n."""
+    if not n:
+        return 0
+    s, m = (1 if n > 0 else -1), abs(n)
+    for p in (2, *_ODD_PRIMES):
+        if not m % p:
+            m //= p
+            odd = True
+            while not m % p:
+                m //= p
+                odd = not odd
+            if odd:
+                s *= p
+    bits = m % 8
+    for i, (q, residues) in enumerate(zip(_ODD_PRIMES, _RESIDUES)):
+        if m % q not in residues:
+            bits |= 8 << i
+    return s << 17 | bits
+
+
+def _children_totals(
+    mode: _Mode, det, ms: list, pvals: list, nbs: list[int], r: int, keys: dict
+) -> list[int]:
     """Saturation totals of the children of one parent record (det, the
     coordinate matrices ms of its adjugate A and its _pd_values P), one per
-    neighbor mask in nbs, by the identities of the module docstring.  Only
-    the eps with P(eps) >= 0 whose square key times that of P(beta) is a
-    perfect square are tested, one test per distinct value P(eps)."""
+    neighbor mask in nbs, by the identities of the module docstring.
+
+    The candidates (eps, s) of the child of beta need key(P(beta)) *
+    key(P(eps)) to be a perfect square with P(eps) >= 0, so P(eps) has key
+    0 or the _square_class_key of P(beta)'s key.  keys memoises that class
+    key per value P (None for P < 0) and is shared by the calls of one
+    search or one worker task.  The parent's sign vectors are grouped by it
+    once, and a child tests only the sign vectors of its own group and of
+    key 0; a value in the group but not in the class fails the exact test.
+    The vectors A eps and the products (A eps_i) . eps_j of the
+    compatibility test do not depend on the child and are computed once
+    per parent."""
     d, bscale, bsq = mode.d, mode.bscale, mode.bscale_sq
     rmul, radd, rneg = _ring_ops(d)
 
@@ -577,48 +640,59 @@ def _children_totals(mode: _Mode, det, ms: list, pvals: list, nbs: list[int], r:
         return tuple(parts) if d else parts[0]
 
     n = len(ms[0])
-    by_value: dict = {}  # P(eps) -> the sign vectors eps with that value
-    for eps, p in zip(_sign_vectors(n), pvals):
-        by_value.setdefault(p, []).append(eps)
-    members = [
-        (p, _square_key(p, d), vectors) for p, vectors in by_value.items() if ring_sign(p, d) >= 0
-    ]
+    vectors = _sign_vectors(n)
+    groups: dict = {}  # class key -> the Gray indices of the sign vectors with P >= 0
+    for g, p in enumerate(pvals):
+        try:
+            kc = keys[p]
+        except KeyError:
+            kc = keys[p] = _square_class_key(_square_key(p, d)) if ring_sign(p, d) >= 0 else None
+        if kc is not None:
+            groups.setdefault(kc, []).append(g)
+    zeros = groups.get(0, [])
     dets = (rneg(det), det)  # x = L - s*det for s = +1, -1
+    aes: dict = {}  # Gray index -> the coordinates of A eps
+    pair_dots: dict = {}  # (i, j) -> (A eps_i) . eps_j
     totals = []
     for nb in nbs:
-        pb = pvals[_gray_index(nb)]
-        kb = _square_key(pb, d)
-        ab = None  # A beta, once a value passes the square test
-        found = []  # (eps, x) per candidate
-        for pe, ke, vectors in members:
-            k = kb * ke
-            if k < 0 or isqrt(k) ** 2 != k:
-                continue
-            if ab is None:
-                beta = _sign_vector(nb, n)
-                ab = [[sum(map(mul, row, beta)) for row in m] for m in ms]
-            pp = rmul(pb, pe)
-            for eps in vectors:
-                lin = rmul(bscale, dot(ab, eps))
-                for s_det in dets:
-                    x = radd(lin, s_det)
-                    if rmul(bsq, rmul(x, x)) == pp:
-                        found.append((eps, x))
+        gb = _gray_index(nb)
+        pb, beta = pvals[gb], vectors[gb]
+        ab = [[sum(map(mul, row, beta)) for row in m] for m in ms]  # A beta
+        found = []  # (Gray index of eps, x) per candidate
+        for g in groups[keys[pb]] + zeros:  # P(beta) > 0: its key is not that of 0
+            lin, pp = rmul(bscale, dot(ab, vectors[g])), rmul(pb, pvals[g])
+            for s_det in dets:
+                x = radd(lin, s_det)
+                if rmul(bsq, rmul(x, x)) == pp:
+                    found.append((g, x))
         nc = len(found)
         if nc <= 1:
             totals.append(r + nc)
             continue
         target, adj = rmul(det, pb), [0] * nc
         targets = (target, rneg(target))
-        for i, (ei, xi) in enumerate(found):
-            aei = [[sum(map(mul, row, ei)) for row in m] for m in ms]
+        for i, (gi, xi) in enumerate(found):
             for j in range(i + 1, nc):
-                ej, xj = found[j]
-                if rmul(bscale, radd(rmul(pb, dot(aei, ej)), rmul(xi, xj))) in targets:
+                gj, xj = found[j]
+                dij = pair_dots.get((gi, gj))
+                if dij is None:
+                    aei = aes.get(gi)
+                    if aei is None:
+                        ei = vectors[gi]
+                        aei = aes[gi] = [[sum(map(mul, row, ei)) for row in m] for m in ms]
+                    dij = pair_dots[gi, gj] = dot(aei, vectors[gj])
+                if rmul(bscale, radd(rmul(pb, dij), rmul(xi, xj))) in targets:
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
         totals.append(r + _clique_number(adj, nc))
     return totals
+
+
+def _task_totals(mode: _Mode, r: int, items: list) -> list[list[int]]:
+    """The _children_totals of the parents in items, (det, ms, pvals, nbs)
+    each, with one class-key memo: one task of the worker pool."""
+    keys: dict = {}
+    return [_children_totals(mode, det, ms, pvals, nbs, r, keys) for det, ms, pvals, nbs in items]
 
 
 def _final_totals(mode: _Mode, parents: Iterable[dict], r: int, jobs: int):
@@ -628,20 +702,24 @@ def _final_totals(mode: _Mode, parents: Iterable[dict], r: int, jobs: int):
     from the parent's scan alone: the child of sign vector beta has
     det' = P(beta), and (eps, s) is one of its unit candidates exactly when
     bscale^2 * (L - s*det)^2 = P(beta) * P(eps).  With one job a parent is
-    reduced as soon as the step yields it; with more, parents go to a worker
-    pool in batches."""
+    reduced as soon as the step yields it, with one class-key memo for the
+    whole level, freed with this generator; with more, parents go to a
+    worker pool in batches of 64, as tasks of 16 parents with one memo
+    each."""
     step = _pd_step(mode, parents, r - 2)
     if jobs <= 1:
+        keys: dict = {}
         for rec, ms, pvals, nbs in step:
-            yield rec, nbs, _children_totals(mode, rec["det"], ms, pvals, nbs, r)
+            yield rec, nbs, _children_totals(mode, rec["det"], ms, pvals, nbs, r, keys)
         return
     from multiprocessing import Pool
 
     pool = Pool(jobs)
     try:
         while batch := list(islice(step, 64)):
-            args = [(mode, rec["det"], ms, pvals, nbs, r) for rec, ms, pvals, nbs in batch]
-            totals = pool.starmap(_children_totals, args, chunksize=4)
+            items = [(rec["det"], ms, pvals, nbs) for rec, ms, pvals, nbs in batch]
+            tasks = [(mode, r, items[i:i + 16]) for i in range(0, len(items), 16)]
+            totals = [t for task in pool.starmap(_task_totals, tasks) for t in task]
             for (rec, _, _, nbs), group_totals in zip(batch, totals):
                 yield rec, nbs, group_totals
     finally:

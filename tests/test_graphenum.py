@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import networkx as nx
 import pytest
@@ -150,13 +151,26 @@ def _recording_refine(monkeypatch):
     return refined
 
 
+def _fixed_new_vertex(adj, nb, k):
+    """The child of nb as a networkx graph whose new vertex k is marked."""
+    g = _nx_graph(_child(adj, nb, k))
+    nx.set_node_attributes(g, {v: v == k for v in g}, "new")
+    return g
+
+
+def _same_with_new_fixed(g, h):
+    return nx.is_isomorphic(g, h, node_match=lambda x, y: x["new"] == y["new"])
+
+
 def test_degree_rule_refines_exactly_the_children_of_minimum_degree(monkeypatch):
     """The O(1) degree rule of attach_vertex against the direct test (the new
-    vertex has no more than the degree of any vertex of the child), followed
-    by the twin rule against the direct test (a transposition (u v) that
-    leaves adj unchanged, and an earlier mask that passed the degree rule and
-    differs from nb by swapping u and v).  Exactly the children that pass
-    both reach refine_colors, on every mask."""
+    vertex has no more than the degree of any vertex of the child), and the
+    orbit rule against what it promises.  Every refined child passes the
+    degree rule and the twin rule (no transposition (u v) that leaves adj
+    unchanged maps nb onto an earlier mask that passed the degree rule);
+    every child that passes the degree rule but is not refined is
+    isomorphic, new vertex fixed, to the child of an earlier mask that
+    passed (networkx); and the output is that of _reference_attach."""
     rng = random.Random(9)
     refined = _recording_refine(monkeypatch)
     for k in range(0, 10):
@@ -164,15 +178,53 @@ def test_degree_rule_refines_exactly_the_children_of_minimum_degree(monkeypatch)
             adj = _random_adj(rng, k, rng.random())
             autos = _automorphic_transpositions(adj)
             refined.clear()
-            _attach(k, [(adj, range(1 << k), None)])
-            passed, expect = set(), []
+            groups = [(adj, range(1 << k), None)]
+            assert _attach(k, groups) == _reference_attach(k, groups), (k, adj)
+            reached = {tuple(na) for na in refined}
+            assert len(reached) == len(refined)  # each child is refined once
+            passed, earlier = set(), {}  # masks that passed; WL hash -> their children
             for nb in range(1 << k):
+                na = _child(adj, nb, k)
                 if any(a.bit_count() + (nb >> i & 1) < nb.bit_count() for i, a in enumerate(adj)):
+                    assert tuple(na) not in reached, (k, adj, nb)
                     continue
-                if not any((nb & t).bit_count() == 1 and nb ^ t in passed for t in autos):
-                    expect.append(_child(adj, nb, k))
+                g = _fixed_new_vertex(adj, nb, k)
+                same = earlier.setdefault(nx.weisfeiler_lehman_graph_hash(g, node_attr="new"), [])
+                if tuple(na) in reached:
+                    assert not any((nb & t).bit_count() == 1 and nb ^ t in passed for t in autos)
+                else:
+                    assert any(_same_with_new_fixed(g, h) for h in same), (k, adj, nb)
                 passed.add(nb)
-            assert refined == expect, (k, adj)
+                same.append(g)
+
+
+def test_orbit_rule_keeps_only_automorphisms_of_the_parent(monkeypatch):
+    """A map the dedup returns serves the orbit rule only when it fixes the
+    new vertex and the stored child has the parent's own rows.  Two setups
+    where the other maps occur, against _reference_attach: a dedup that
+    returns, where it can, an isomorphism that moves the new vertex
+    (networkx), and isomorphic parents under different labels, each offered
+    its own random subset of masks into one shared ClassSet."""
+    rng = random.Random(17)
+    for k in (5, 6, 7):
+        parents = [_random_adj(rng, k, rng.random()) for _ in range(4)]
+        groups = []
+        for p, adj in enumerate(parents * 3):
+            perm = list(range(k))
+            rng.shuffle(perm)
+            masks = rng.sample(range(1 << k), rng.randint(1, 1 << k))
+            groups.append((_relabel(adj, perm), masks, p))
+        assert _attach(k, groups) == _reference_attach(k, groups), k
+
+    def moving(nv, a1, a2, col1=None, col2=None):
+        maps = list(islice(nx.vf2pp_all_isomorphisms(_nx_graph(a1), _nx_graph(a2)), 24))
+        maps.sort(key=lambda m: m[nv - 1] == nv - 1)
+        return [maps[0][v] for v in range(nv)] if maps else None
+
+    monkeypatch.setattr(graphenum, "find_isomorphism", moving)
+    for k in range(1, 6):
+        groups = _groups([list(g.adj) for g in graph_classes(k)], k)
+        assert _attach(k, groups) == _reference_attach(k, groups), k
 
 
 @settings(max_examples=300, deadline=None)
@@ -197,39 +249,52 @@ def _parent_with_twins(rng, k):
     return adj
 
 
+def _cycle(k):
+    return [1 << (v - 1) % k | 1 << (v + 1) % k for v in range(k)]
+
+
+# twin-free parents whose automorphisms are rotations and reflections
+_PRISM = [0b001110, 0b010101, 0b100011, 0b110001, 0b101010, 0b011100]  # two triangles, matched
+_TWIN_FREE = {5: [_cycle(5)], 6: [_cycle(6), _PRISM], 7: [_cycle(7)]}
+
+
 @pytest.mark.parametrize("order", ["binary", "gray", "random subset"])
 def test_every_child_the_twin_rule_skips_is_isomorphic_to_an_earlier_one(monkeypatch, order):
     """Each child that passes the degree rule but never reaches refine_colors
     is isomorphic, with the new vertex fixed, to a child of an earlier mask
     of the same parent (networkx).  The rule fires for every k >= 2: the
-    complete graph, the first parent, has all its pairs as twins."""
+    complete graph, the first parent, has all its pairs as twins.  C5, C6,
+    C7 and the triangular prism have no twins, so the children skipped on
+    them are skipped by automorphisms the dedup found; every order skips
+    some on each."""
     rng = random.Random(2024)
     refined = _recording_refine(monkeypatch)
     for k in range(1, 10):
         skipped = 0
         complete = [(1 << k) - 1 & ~(1 << v) for v in range(k)]  # every pair is a twin pair
-        for adj in [complete, *(_parent_with_twins(rng, k) for _ in range(4 if k >= 2 else 0))]:
+        twin_free = _TWIN_FREE.get(k, [])
+        for adj in [complete, *(_parent_with_twins(rng, k) for _ in range(4 if k >= 2 else 0)), *twin_free]:
             masks = list(range(1 << k))
             if order == "gray":
                 masks = [g ^ (g >> 1) for g in masks]
-            elif order == "random subset":  # all masks of the complete graph, shuffled
-                masks = rng.sample(masks, 1 << k if adj is complete else rng.randint(1 << k - 1, 1 << k))
+            elif order == "random subset":  # all masks of the complete and twin-free graphs, shuffled
+                whole = adj is complete or adj in twin_free
+                masks = rng.sample(masks, 1 << k if whole else rng.randint(1 << k - 1, 1 << k))
             refined.clear()
             _attach(k, [(adj, masks, None)])
             reached = {tuple(na) for na in refined}
-            earlier = []
+            earlier, on_parent = [], 0
             for nb in masks:
                 na = _child(adj, nb, k)
-                g = _nx_graph(na)
-                nx.set_node_attributes(g, {v: v == k for v in g}, "new")
+                g = _fixed_new_vertex(adj, nb, k)
                 degree_ok = all(a.bit_count() >= nb.bit_count() for a in na)
                 if degree_ok and tuple(na) not in reached:
-                    skipped += 1
-                    assert any(
-                        nx.is_isomorphic(g, h, node_match=lambda x, y: x["new"] == y["new"])
-                        for h in earlier
-                    ), (k, adj, nb)
+                    on_parent += 1
+                    assert any(_same_with_new_fixed(g, h) for h in earlier), (k, adj, nb)
                 earlier.append(g)
+            if adj in twin_free:
+                assert not graphenum._twin_pairs(adj) and on_parent, (order, k, adj)
+            skipped += on_parent
         assert skipped or k == 1, (order, k)
 
 

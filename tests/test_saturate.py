@@ -4,13 +4,15 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from operator import mul
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint
+from sympy.ntheory import is_quad_residue
 
 from equiangular.exactnum import QuadExt, parse_scalar, quad_sign, ring_sign, ring_to_scalar
 from equiangular.graphenum import count_graph_classes
@@ -33,6 +35,7 @@ from equiangular.saturate import (
     _root_record,
     _sign_quads,
     _sign_vector,
+    _square_class_key,
     _square_key,
     candidates,
     compatibility_graph,
@@ -608,16 +611,18 @@ def _record_total(mode, rec, r):
 def test_children_totals_match_the_record_path(r, alpha, children, zeros):
     """Every PD child of every final-level parent, not only the class
     representatives, gets the same total from the parent's data as from its
-    own record.  The sign vectors with P(eps) = 0 (the parent's own
-    candidates) are counted, so the cells that reach them are known."""
+    own record, with one class-key memo shared by every parent of the cell.
+    The sign vectors with P(eps) = 0 (the parent's own candidates) are
+    counted, so the cells that reach them are known."""
     mode = _alpha_mode(parse_scalar(alpha))
     seen = zero_members = 0
+    keys = {}  # one class-key memo for the whole level, as in _final_totals
     for rec in _pd_ladder(mode, r - 2):
         ms = _adj_matrices(rec)
         pvals = _pd_values(mode, rec["det"], ms)
         nbs = _pd_neighbor_masks(mode, rec, pvals)
         want = [_record_total(mode, _extend_record(mode, rec, nb, ms), r) for nb in nbs]
-        assert _children_totals(mode, rec["det"], ms, pvals, nbs, r) == want
+        assert _children_totals(mode, rec["det"], ms, pvals, nbs, r, keys) == want
         seen += len(nbs)
         zero_members += sum(p in (0, (0, 0)) for p in pvals)  # an int over Z, a pair over Z[sqrt d]
     assert (seen, zero_members) == (children, zeros)
@@ -712,6 +717,51 @@ def test_square_keys_of_a_square_product(d, data):
     assert prod >= 0 and isqrt(prod) ** 2 == prod
 
 
+_NORMS_17 = st.builds(  # norms a^2 - 17*b^2 of Z[sqrt 17], of either sign
+    lambda a, b: a * a - 17 * b * b, st.integers(-10**6, 10**6), st.integers(-10**6 // 4, 10**6 // 4)
+)
+
+
+def _kernel(n):
+    """The signed squarefree kernel of a nonzero n by sympy's factorization:
+    the primes of odd exponent, with the sign of n."""
+    return (1 if n > 0 else -1) * prod(p for p, e in factorint(abs(n)).items() if e % 2)
+
+
+_NONZERO = (st.integers(-10**12, 10**12) | _NORMS_17).filter(bool)
+_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=_NONZERO)
+def test_square_class_key_matches_factorint(n):
+    """The class key against sympy: the sign times the primes below 50 of
+    odd exponent, shifted by 17 bits, then the rest c of n (the primes past
+    47) mod 8 and, bit 8 << i, whether c is a non-residue mod the i-th odd
+    prime below 50."""
+    factors = factorint(abs(n))
+    small = (1 if n > 0 else -1) * prod(p for p, e in factors.items() if e % 2 and p in _SMALL)
+    c = prod(p**e for p, e in factors.items() if p not in _SMALL)
+    bits = c % 8 | sum(8 << i for i, q in enumerate(_SMALL[1:]) if not is_quad_residue(c, q))
+    assert _square_class_key(n) == small << 17 | bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_NONZERO, y=_NONZERO, data=st.data())
+def test_one_square_class_has_one_key(x, y, data):
+    """Nonzero keys (ints up to 1e12, norms over Z[sqrt 17]) of one square
+    class share a class key: y when x*y is a square, and x times any square,
+    large prime factors included.  x times a non-square k built from the
+    sign and the primes below 50 has another key.  Key 0 is alone."""
+    a = data.draw(st.integers(1, 10**6))
+    k = data.draw(st.sampled_from([2, -2, 3, -3, 6, -6, 17, -17, 34, -1, 2 * 47, -43]))
+    if _kernel(x) == _kernel(y):
+        assert _square_class_key(x) == _square_class_key(y)
+    assert _square_class_key(x * a * a) == _square_class_key(x)
+    assert _square_class_key(x * k * a * a) != _square_class_key(x)
+    assert _square_class_key(0) not in (_square_class_key(x), _square_class_key(y))
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(0, 10**20), k=st.integers(0, 10**40))
 def test_isqrt_is_exact_up_to_1e40(n, k):
@@ -722,10 +772,14 @@ def test_isqrt_is_exact_up_to_1e40(n, k):
     assert t * t <= k < (t + 1) * (t + 1)
 
 
-@pytest.mark.parametrize("alpha", ["1/5", "1/sqrt(17)"])
-def test_worker_pool_gives_the_same_report(alpha):
-    one = m_alpha(8, parse_scalar(alpha), jobs=1).to_dict()
-    assert m_alpha(8, parse_scalar(alpha), jobs=2).to_dict() == one
+@pytest.mark.parametrize(
+    "r,alpha", [(8, "1/5"), (8, "1/sqrt(17)"), (9, "1/sqrt(17)")], ids=["1/5", "1/sqrt(17)", "9-1/sqrt(17)"]
+)
+def test_worker_pool_gives_the_same_report(r, alpha):
+    """jobs=2, where each worker task has a class-key memo of its own,
+    gives the report of jobs=1, graph6 witnesses included."""
+    one = m_alpha(r, parse_scalar(alpha), jobs=1).to_dict()
+    assert m_alpha(r, parse_scalar(alpha), jobs=2).to_dict() == one
 
 
 def _bareiss_adjugate(h):
@@ -935,3 +989,96 @@ def test_quadratic_cells_match_a_brute_force_over_the_graph_atlas(r, q):
         assert sum(nx.is_isomorphic(graph, w) for w in winners) == 1
     pinned = {13: {7: 43, 8: 4, 14: 28}, 17: {8: 394, 9: 85, 10: 32}}  # 75 and 511 classes
     assert hist == pinned[q]
+
+
+# -- a floating-point oracle at rank 9, angle 1/sqrt(17): numpy and networkx ----
+
+_BAND = (1e-9, 1e-5)  # |x| <= 1e-9 reads as zero, |x| >= 1e-5 as nonzero
+
+
+def _outside_band(x):
+    """x, after failing the test if any |x| lies in the ambiguity band."""
+    a = abs(x)
+    assert not ((a > _BAND[0]) & (a < _BAND[1])).any(), "a floating-point decision is unclear"
+    return x
+
+
+def _gram(np, adj, alpha):
+    """The Grams I + alpha*S of a stack of non-root adjacency matrices, the
+    root (row and column 0) at +alpha with every vertex."""
+    n = adj.shape[-1] + 1
+    gram = np.full(adj.shape[:-2] + (n, n), alpha)
+    gram[..., 1:, 1:] = alpha * (1 - 2 * adj.astype(float))
+    gram[..., range(n), range(n)] = 1.0
+    return gram
+
+
+def _rank9_sqrt17_oracle(np):
+    """(PD children, classes, totals histogram) of the rank-9 angle-1/sqrt(17)
+    search, sharing no code with equiangular.  Every 7-vertex atlas graph is
+    extended by all 128 masks; a child is PD when the least eigenvalue
+    (eigvalsh) of its Gram I + alpha*S, root row +alpha, is positive.
+    Children are deduplicated exactly: a child is a duplicate when its
+    adjacency, with the vertices sorted by (degree, triangles), equals that
+    of an earlier child (a relabelling), or when vf2pp_is_isomorphic maps it
+    onto a class of its bucket (sorted degrees and triangles, adjacency
+    spectrum).  A class's unit candidates are the sign vectors with
+    alpha^2 * eps^T G^-1 eps = 1, two are compatible when
+    |alpha^2 * eps_i^T G^-1 eps_j| = alpha, and the total adds the clique
+    number of nx.find_cliques to the rank."""
+    n, alpha = 9, 17 ** -0.5
+    atlas = [g for g in nx.graph_atlas_g() if g.number_of_nodes() == n - 2]
+    parents = np.array([nx.to_numpy_array(g, nodelist=range(n - 2)) for g in atlas])
+    masks = np.array([[m >> i & 1 for i in range(n - 2)] for m in range(1 << (n - 2))])
+    adj = []
+    for chunk in np.array_split(parents, 16):  # the children of 1044 parents, in chunks
+        a = np.zeros((len(chunk), len(masks), n - 1, n - 1), dtype=np.int8)
+        a[:, :, :-1, :-1] = chunk[:, None]
+        a[:, :, -1, :-1] = a[:, :, :-1, -1] = masks[None]
+        pd = _outside_band(np.linalg.eigvalsh(_gram(np, a, alpha))[..., 0]) > _BAND[1]
+        adj.append(a[pd])
+    adj = np.concatenate(adj)
+    degrees = adj.sum(axis=2, dtype=np.int64)
+    triangles = ((adj @ adj) * adj).sum(axis=2, dtype=np.int64)  # twice the triangles at each vertex
+    order = np.lexsort((triangles, degrees), axis=1)
+    forms = np.take_along_axis(np.take_along_axis(adj, order[:, :, None], 1), order[:, None, :], 2)
+    invariants = np.concatenate([np.sort(degrees, 1), np.sort(triangles, 1)], 1)
+    spectra = np.round(np.linalg.eigvalsh(adj.astype(float)), 6) + 0.0
+    seen, buckets, classes = set(), {}, []
+    for c in range(len(adj)):
+        form = forms[c].tobytes()
+        if form in seen:
+            continue
+        seen.add(form)
+        g = nx.Graph()
+        g.add_nodes_from(range(n - 1))
+        g.add_edges_from(zip(*(x.tolist() for x in np.nonzero(np.triu(adj[c])))))
+        bucket = buckets.setdefault((invariants[c].tobytes(), spectra[c].tobytes()), [])
+        if not any(nx.vf2pp_is_isomorphic(g, h) for h in bucket):
+            bucket.append(g)
+            classes.append(c)
+    signs = np.array([[1] + [1 - 2 * (m >> i & 1) for i in range(n - 1)] for m in range(1 << (n - 1))])
+    inverses = np.linalg.inv(_gram(np, adj[classes], alpha))
+    hist = {}
+    for inv in inverses:
+        unit = _outside_band(alpha * alpha * np.einsum("si,ij,sj->s", signs, inv, signs) - 1)
+        cands = signs[np.abs(unit) <= _BAND[0]]
+        off = _outside_band(np.abs(alpha * alpha * cands @ inv @ cands.T) - alpha)
+        compat = nx.Graph()
+        compat.add_nodes_from(range(len(cands)))
+        compat.add_edges_from(zip(*(x.tolist() for x in np.nonzero(np.triu(np.abs(off) <= _BAND[0], 1)))))
+        total = n + max((len(c) for c in nx.find_cliques(compat)), default=0)
+        hist[total] = hist.get(total, 0) + 1
+    return len(adj), len(classes), hist
+
+
+def test_rank9_sqrt17_matches_a_floating_point_oracle(table3_fast):
+    """The (9, 1/sqrt(17)) cell, which decides M*(9) = 18, against an oracle
+    in floating point (numpy) and networkx that shares no code with
+    equiangular: the number of classes and the totals histogram."""
+    np = pytest.importorskip("numpy")
+    children, classes, hist = _rank9_sqrt17_oracle(np)
+    assert (children, classes, hist) == (35439, 3202, {9: 2247, 10: 692, 11: 77, 18: 186})
+    rep = table3_fast[(9, "1/sqrt(17)")]
+    assert rep.certificate["seeds"] == classes
+    assert rep.certificate["totals_histogram"] == {str(t): k for t, k in sorted(hist.items())}
