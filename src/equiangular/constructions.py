@@ -2,6 +2,11 @@
 pillar structure, Paley conference matrices and their tight frames, simplex
 bases, and the block-matrix family of (4,2)-pillar Gram matrices.
 
+The Witt system and the Paley frames are certified by one identity,
+A^2 = aA + (n - 1)I, checked once, in ``seidel``: a Paley conference matrix is
+a SeidelMatrix with a = 0, and the Witt spectrum reads the certificate (a = 50)
+that its line set carries.
+
 The octads come from the extended binary Golay code, regenerated from a pinned
 12-row generator matrix.  The generator was produced once by a deterministic
 greedy extension starting from the five independent rows among the six base
@@ -189,48 +194,24 @@ def witt276_base_and_pillars() -> tuple[EquiangularSet, PillarDecomposition]:
     return oriented, decompose(oriented, base)
 
 
-def _two_eigenvalue_multiplicities(
-    rows: tuple[tuple[int, ...], ...], lo: int, hi: int
-) -> tuple[int, int]:
-    """Multiplicities (m_lo, m_hi) of the distinct eigenvalues lo, hi of a Seidel
-    matrix A (zero diagonal, +-1 off it, symmetric) whose spectrum is
-    certified to lie in {lo, hi} by (A - lo I)(A - hi I) = 0, i.e.
-    A^2 = (lo + hi) A - lo hi I, checked by ``seidel.square_mismatch``.
-
-    A real symmetric matrix annihilated by (x - lo)(x - hi) is diagonalizable
-    with eigenvalues in {lo, hi}, so m_lo + m_hi = n and lo m_lo + hi m_hi =
-    tr A = 0 fix the multiplicities; rank(A - lo I) = m_hi, rank(A - hi I) = m_lo.
-    Raises AssertionError when A is not such a matrix."""
-    try:
-        seidel = SeidelMatrix(rows)
-    except ValueError as exc:
-        raise AssertionError(str(exc)) from None
-    n = seidel.n
-    s, p = lo + hi, lo * hi
-    if -p != n - 1:
-        raise AssertionError(f"(A^2)[i][i] = {n - 1} != {-p}")
-    bad = square_mismatch(seidel, s)
-    if bad is not None:
-        raise AssertionError(f"A^2 != {s}A + {-p}I at ({bad[0]},{bad[1]})")
-    m_hi, rem = divmod(-lo * n, hi - lo)
-    m_lo = n - m_hi
-    if rem or m_lo < 0 or m_hi < 0:
-        raise AssertionError("multiplicities are not non-negative integers")
-    return m_lo, m_hi
-
-
 def witt_spectrum_certificate() -> dict:
     """Exact spectral data of the 276-line Seidel matrix A: eigenvalues -5 and
     55 with multiplicities 253 and 23, certified by A^2 = 50A + 275I, i.e.
-    (A + 5I)(A - 55I) = 0, together with tr A = 0.  The ranks of A + 5I and
-    A - 55I are derived from the multiplicities; rank(A + 5I) is cross-checked
-    against the exact rank of sum v v^T over the 276 integer vectors (their
-    Gram is 16(A + 5I)), and the second moment 25 m_-5 + 3025 m_55 against
+    (A + 5I)(A - 55I) = 0, together with tr A = 0.  The identity is the one
+    ``seidel.two_eigenvalue_certificate`` checked when the line set was built:
+    its certificate carries square_coefficient 50 and rank m_55 = rank(A + 5I),
+    so m_-5 = n - m_55 = rank(A - 55I).  rank(A + 5I) is cross-checked against
+    the exact rank of sum v v^T over the 276 integer vectors (their Gram is
+    16(A + 5I)), and the second moment 25 m_-5 + 3025 m_55 against
     sum A_ij^2 = n(n - 1).  Raises AssertionError when a check fails."""
     ws = witt276()
     rows = ws.lines.seidel.rows
     n = len(rows)
-    m_lo, m_hi = _two_eigenvalue_multiplicities(rows, -5, 55)
+    psd = ws.lines.psd_certificate
+    if psd.square_coefficient != 50:
+        raise AssertionError(f"A^2 = 50A + 275I is not certified (square coefficient "
+                             f"{psd.square_coefficient})")
+    m_hi, m_lo = psd.rank, n - psd.rank
     coords = list(zip(*ws.vectors))
     span = rank_of(SymMatrix([[sum(a * b for a, b in zip(x, y)) for y in coords] for x in coords]))
     if m_hi != span:
@@ -255,33 +236,6 @@ def witt_spectrum_certificate() -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConferenceMatrix:
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.rows)
-
-    def verify(self) -> None:
-        n = self.order
-        if n % 4 != 2:
-            raise AssertionError("order of a symmetric conference matrix is 2 mod 4")
-        for i in range(n):
-            if self.rows[i][i] != 0:
-                raise AssertionError("diagonal must be zero")
-            for j in range(n):
-                if i != j and self.rows[i][j] not in (1, -1):
-                    raise AssertionError("off-diagonal entries must be +-1")
-                if self.rows[i][j] != self.rows[j][i]:
-                    raise AssertionError("must be symmetric")
-        for i in range(n):
-            for j in range(n):
-                dot = sum(self.rows[i][k] * self.rows[k][j] for k in range(n))
-                if dot != ((n - 1) if i == j else 0):
-                    raise AssertionError("B^2 = (order-1) I fails")
-
-
 def _is_prime(q: int) -> bool:
     if q < 2:
         return False
@@ -293,9 +247,10 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def paley_conference(q: int) -> ConferenceMatrix:
-    """Symmetric conference matrix of order q+1 from quadratic residues mod a
-    prime q = 1 (mod 4)."""
+def paley_conference(q: int) -> SeidelMatrix:
+    """Symmetric conference matrix B of order q+1 from quadratic residues mod a
+    prime q = 1 (mod 4): a Seidel matrix with B^2 = qI, the a = 0 case of
+    ``seidel.square_mismatch``."""
     if not _is_prime(q) or q % 4 != 1:
         raise ValueError("q must be a prime congruent to 1 mod 4")
     residues = {(x * x) % q for x in range(1, q)}
@@ -303,6 +258,8 @@ def paley_conference(q: int) -> ConferenceMatrix:
     for x in range(1, q):
         chi[x] = 1 if x in residues else -1
     n = q + 1
+    if n % 4 != 2:
+        raise AssertionError("order of a symmetric conference matrix is 2 mod 4")
     rows = [[0] * n for _ in range(n)]
     for j in range(1, n):
         rows[0][j] = rows[j][0] = 1
@@ -310,15 +267,17 @@ def paley_conference(q: int) -> ConferenceMatrix:
         for j in range(1, n):
             if i != j:
                 rows[i][j] = chi[(j - i) % q]
-    c = ConferenceMatrix(tuple(tuple(r) for r in rows))
-    c.verify()
+    c = SeidelMatrix(tuple(tuple(r) for r in rows))
+    bad = square_mismatch(c, 0)
+    if bad is not None:
+        raise AssertionError(f"B^2 = {q}I fails at {bad}")
     return c
 
 
-def conference_etf(c: ConferenceMatrix) -> EquiangularSet:
+def conference_etf(c: SeidelMatrix) -> EquiangularSet:
     """The 2r lines of rank r with angle 1/sqrt(2r-1) whose Gram matrix is
     I - (1/sqrt(2r-1)) B; meets the Welch bound with equality."""
-    n = c.order
+    n = c.n
     alpha = inv_sqrt(n - 1)  # 1/sqrt(2r - 1)
     seidel = SeidelMatrix(
         tuple(tuple(-x for x in row) for row in c.rows)

@@ -28,14 +28,7 @@ Scalar = Union[int, Fraction, "QuadExt"]
 
 
 def is_squarefree(d: int) -> bool:
-    if d < 1:
-        return False
-    k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
-        k += 1
-    return True
+    return d >= 1 and squarefree_decomposition(d)[0] == 1
 
 
 def squarefree_decomposition(n: int) -> tuple[int, int]:

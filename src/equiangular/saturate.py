@@ -481,7 +481,7 @@ def _pair_sign(tgt: list[int], u_i, eps_j) -> int:
     raise ValueError("pair is not compatible")
 
 
-def _compat_adj_raw(mode: _Mode, det, data, r: int) -> list[int]:
+def _compat_adj_raw(mode: _Mode, det, data) -> list[int]:
     """Adjacency bitmasks of the compatibility graph of the candidates
     (eps, u) in data (_candidate_data_raw): i and j are compatible when the
     border vector u_i dotted with eps_j is +-det, coordinate by coordinate."""
@@ -506,7 +506,7 @@ def compatibility_graph(cands: CandidateSet) -> Graph:
         return Graph(1, (0,))
     data = [(line.sign_vector, line.u) for line in cands.lines]
     seed = cands.seed
-    return Graph(nc, tuple(_compat_adj_raw(seed.mode, seed.det, data, seed.r)))
+    return Graph(nc, tuple(_compat_adj_raw(seed.mode, seed.det, data)))
 
 
 def realize(seed: BasisSeed, cands: CandidateSet, chosen: Sequence[int]) -> EquiangularSet:

@@ -166,8 +166,8 @@ def test_criterion_10_generalized_neumann():
     from test_bounds import PRINTED_PAIRS
 
     c = constructions.paley_conference(17)
-    assert c.order == 18 and c.order % 4 == 2
-    n = c.order
+    assert c.n == 18 and c.n % 4 == 2
+    n = c.n
     for i in range(n):
         for j in range(n):
             assert sum(c.rows[i][k] * c.rows[k][j] for k in range(n)) == (

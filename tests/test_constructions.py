@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import random
@@ -11,11 +12,11 @@ from hypothesis import strategies as st
 
 import equiangular
 
-from equiangular import linalg
+from equiangular import constructions, linalg
 from equiangular.bounds import welch_bound_sq
+from equiangular.cli import MAX_PALEY_Q
 from equiangular.constructions import (
     BASE_OCTADS,
-    _two_eigenvalue_multiplicities,
     block_52_equiangular,
     block_52_family,
     conference_etf,
@@ -24,7 +25,13 @@ from equiangular.constructions import (
     witt_spectrum_certificate,
 )
 from equiangular.exactnum import parse_scalar
-from equiangular.seidel import base_size
+from equiangular.seidel import (
+    EquiangularSet,
+    SeidelMatrix,
+    base_size,
+    gram_matrix,
+    two_eigenvalue_certificate,
+)
 
 
 def test_octad_counts(witt):
@@ -111,51 +118,70 @@ def _run_python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 30).flatmap(
-    lambda n: st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
-))
-def test_two_eigenvalue_ranks_match_rank_of_on_switched_complete_graphs(signs):
-    # D(J - I)D has eigenvalues -1 (n - 1 times) and n - 1 (once)
-    n = len(signs)
-    rows = tuple(
-        tuple(0 if i == j else signs[i] * signs[j] for j in range(n)) for i in range(n)
-    )
-    lo, hi = -1, n - 1
-    m_lo, m_hi = _two_eigenvalue_multiplicities(rows, lo, hi)
-    assert (m_lo, m_hi) == (n - 1, 1)
-    for lam, derived_rank in ((lo, m_hi), (hi, m_lo)):
-        shifted = [[rows[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
-        assert linalg.rank_of(linalg.SymMatrix(shifted)) == derived_rank
+def _with_elimination_certificate(ws):
+    """The Witt system with its lines certified by psd_check, not by the
+    two-eigenvalue identity: the certificate has no square coefficient."""
+    cert = linalg.psd_check(ws.lines.gram())
+    assert cert.square_coefficient is None and cert.rank == 23
+    lines = EquiangularSet(ws.lines.alpha, ws.lines.seidel, psd_certificate=cert)
+    return dataclasses.replace(ws, lines=lines)
 
 
-def test_switched_witt_has_the_same_spectrum(witt_pillars):
-    switched, _ = witt_pillars
-    assert _two_eigenvalue_multiplicities(switched.seidel.rows, -5, 55) == (253, 23)
+def test_spectrum_needs_the_identity_certificate(witt, monkeypatch):
+    monkeypatch.setattr(constructions, "witt276", lambda: _with_elimination_certificate(witt))
+    with pytest.raises(AssertionError, match="A\\^2 = 50A \\+ 275I is not certified"):
+        witt_spectrum_certificate()
 
 
-def _flip_pair(rows, i, j):
-    out = [list(r) for r in rows]
-    out[i][j] = out[j][i] = -out[i][j]
-    return tuple(tuple(r) for r in out)
-
-
-def test_witt_with_one_flipped_pair_is_rejected(witt):
-    rows = _flip_pair(witt.lines.seidel.rows, 3, 200)
-    with pytest.raises(AssertionError, match="A\\^2"):
-        _two_eigenvalue_multiplicities(rows, -5, 55)
-
-
-def test_witt_with_one_flipped_pair_is_rejected_under_optimize():
+def test_spectrum_needs_the_identity_certificate_under_optimize():
     code = (
-        "from equiangular.constructions import _two_eigenvalue_multiplicities, witt276\n"
-        "rows = [list(r) for r in witt276().lines.seidel.rows]\n"
-        "rows[3][200] = rows[200][3] = -rows[3][200]\n"
-        "_two_eigenvalue_multiplicities(tuple(map(tuple, rows)), -5, 55)\n"
+        "import dataclasses\n"
+        "from equiangular import constructions, linalg\n"
+        "from equiangular.seidel import EquiangularSet\n"
+        "ws = constructions.witt276()\n"
+        "cert = linalg.psd_check(ws.lines.gram())\n"
+        "lines = EquiangularSet(ws.lines.alpha, ws.lines.seidel, psd_certificate=cert)\n"
+        "constructions.witt276 = lambda: dataclasses.replace(ws, lines=lines)\n"
+        "constructions.witt_spectrum_certificate()\n"
     )
     proc = _run_python("-O", "-c", code)
     assert proc.returncode != 0
-    assert "AssertionError: A^2 != 50A + 275I" in proc.stderr
+    assert "AssertionError: A^2 = 50A + 275I is not certified (square coefficient None)" in proc.stderr
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 30).flatmap(
+    lambda n: st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
+))
+def test_two_eigenvalue_ranks_match_rank_of_on_switched_complete_graphs(signs):
+    # A = -D(J - I)D has eigenvalues 1 (n - 1 times) and -(n - 1) (once) and
+    # A^2 = -(n - 2)A + (n - 1)I: at alpha = 1/(n - 1) the Gram I + alpha*A
+    # is a dependent simplex of rank n - 1
+    n = len(signs)
+    seidel = SeidelMatrix(tuple(
+        tuple(0 if i == j else -signs[i] * signs[j] for j in range(n)) for i in range(n)
+    ))
+    alpha = Fraction(1, n - 1)
+    cert = two_eigenvalue_certificate(alpha, seidel)
+    assert cert.square_coefficient == -(n - 2)
+    assert cert.rank == n - 1 == linalg.rank_of(gram_matrix(alpha, seidel))
+    shifted = [[seidel.rows[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    assert linalg.rank_of(linalg.SymMatrix(shifted)) == n - cert.rank
+
+
+def test_witt_with_one_flipped_pair_is_rejected_under_optimize():
+    # the identity breaks, and the elimination finds the Gram indefinite
+    code = (
+        "from fractions import Fraction\n"
+        "from equiangular.constructions import witt276\n"
+        "from equiangular.seidel import EquiangularSet, SeidelMatrix\n"
+        "rows = [list(r) for r in witt276().lines.seidel.rows]\n"
+        "rows[3][200] = rows[200][3] = -rows[3][200]\n"
+        "EquiangularSet(Fraction(1, 5), SeidelMatrix(tuple(map(tuple, rows))))\n"
+    )
+    proc = _run_python("-O", "-c", code)
+    assert proc.returncode != 0
+    assert "ValueError: Gram matrix I + alpha*A is not positive semidefinite" in proc.stderr
 
 
 def test_frame_one_entry_off_its_identity_is_rejected_under_optimize():
@@ -183,8 +209,9 @@ def test_frame_one_entry_off_its_identity_is_rejected_under_optimize():
     (((0, 1), (1,)), "square"),
 ])
 def test_two_eigenvalue_certificate_rejects_non_seidel_input(rows, reason):
-    with pytest.raises(AssertionError, match=reason):
-        _two_eigenvalue_multiplicities(rows, -1, 1)
+    # the identity is only ever checked on a SeidelMatrix, which refuses these
+    with pytest.raises(ValueError, match=reason):
+        SeidelMatrix(rows)
 
 
 def test_spectrum_certificate_does_not_import_numpy():
@@ -230,9 +257,9 @@ def test_witt_pillar_triangles(witt_pillars):
 
 def test_paley_conference():
     c = paley_conference(17)
-    assert c.order == 18 and c.order % 4 == 2
+    assert c.n == 18 and c.n % 4 == 2
     # B^2 = 17 I re-verified entrywise
-    n = c.order
+    n = c.n
     for i in range(n):
         for j in range(n):
             dot = sum(c.rows[i][k] * c.rows[k][j] for k in range(n))
@@ -241,6 +268,30 @@ def test_paley_conference():
         paley_conference(7)  # 3 mod 4
     with pytest.raises(ValueError):
         paley_conference(15)  # not prime
+
+
+PALEY_PRIMES = [q for q in range(5, MAX_PALEY_Q + 1, 4) if all(q % k for k in range(2, q))]
+
+
+@pytest.mark.parametrize("q", PALEY_PRIMES)
+def test_paley_conference_up_to_the_cli_cap(q, monkeypatch):
+    c = paley_conference(q)
+    n = q + 1
+    cols = list(zip(*c.rows))
+    square = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in c.rows]
+    assert square == [[q if i == j else 0 for j in range(n)] for i in range(n)]
+    assert conference_etf(c).rank == n // 2
+    # a copy with one flipped pair breaks B^2 = qI and is refused
+    i, j = sorted(random.Random(q).sample(range(n), 2))
+
+    def flipped(rows):
+        out = [list(r) for r in rows]
+        out[i][j] = out[j][i] = -out[i][j]
+        return SeidelMatrix(tuple(map(tuple, out)))
+
+    monkeypatch.setattr(constructions, "SeidelMatrix", flipped)
+    with pytest.raises(AssertionError, match=f"B\\^2 = {q}I fails"):
+        paley_conference(q)
 
 
 def test_conference_etf_17():

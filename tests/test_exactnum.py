@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ import equiangular
 from equiangular.exactnum import (
     QuadExt,
     format_scalar,
+    is_squarefree,
     parse_scalar,
     quad_sign,
     ring_sign,
@@ -127,6 +129,19 @@ def test_squarefree_decomposition():
     assert squarefree_decomposition(60) == (2, 15)
     assert squarefree_decomposition(17) == (1, 17)
     assert squarefree_decomposition(16) == (4, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**6))
+def test_is_squarefree_matches_sympy_factorint(d):
+    assert is_squarefree(d) == all(e == 1 for e in sympy.factorint(d).values())
+    s, core = squarefree_decomposition(d)
+    assert s * s * core == d and is_squarefree(core)
+
+
+@pytest.mark.parametrize("d", [0, -1, -4])
+def test_is_squarefree_rejects_non_positive_input(d):
+    assert not is_squarefree(d)
 
 
 # -- the ring Z[sqrt d] against QuadExt -----------------------------------------

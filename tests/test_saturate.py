@@ -601,7 +601,7 @@ def _record_total(mode, rec, r):
     data = _candidate_data_raw(mode, rec["det"], _adj_matrices(rec), r)
     if not data:
         return r
-    return r + _clique_number(_compat_adj_raw(mode, rec["det"], data, r), len(data))
+    return r + _clique_number(_compat_adj_raw(mode, rec["det"], data), len(data))
 
 
 @pytest.mark.parametrize(

@@ -41,3 +41,25 @@ def test_no_unused_imports():
     package = pathlib.Path(equiangular.__path__[0])
     paths = sorted(package.glob("*.py")) + sorted(pathlib.Path(__file__).parent.glob("*.py"))
     assert [found for path in paths for found in _unused_imports(path)] == []
+
+
+def _unused_parameters(path: pathlib.Path) -> list[str]:
+    """The parameters of each function in a file that its body never reads;
+    ``self`` and ``cls`` are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        found += [f"{path.name}:{node.lineno} {p.arg}" for p in params
+                  if p.arg not in read and p.arg not in ("self", "cls")]
+    return found
+
+
+def test_no_unused_parameters():
+    """Every parameter of a function in the package is read by its body."""
+    package = pathlib.Path(equiangular.__path__[0])
+    assert [found for path in sorted(package.glob("*.py")) for found in _unused_parameters(path)] == []
