@@ -159,6 +159,7 @@ def pillar_coexistence_bound(n: int) -> BoundReport:
 B4_CLASSES = {i: tuple(m for m in range(16) if bin(m).count("1") == i) for i in range(5)}
 DEGREE_CLASS_CAPS = {1: 16, 2: 13, 3: 16}  # established by degree_class_cap
 T1111_CAP = 39  # single_variable_cap(0b1111)
+_CAP_MARGIN = 50  # values above a single-variable cap re-checked infeasible
 
 
 def mask_label(mask: int) -> str:
@@ -232,9 +233,9 @@ def instance_feasible(t: dict) -> bool:
     return _is_psd4(_m_scaled(t))
 
 
-def single_variable_cap(mask: int, t1111: int = 0, margin: int = 50) -> int:
+def single_variable_cap(mask: int, t1111: int = 0) -> int:
     """Largest value of t_B (all other variables zero except t_1111 fixed)
-    keeping M positive semidefinite; the next `margin` values are re-checked
+    keeping M positive semidefinite; the next _CAP_MARGIN values are re-checked
     infeasible so no feasibility island is missed."""
     m = 0
     while True:
@@ -243,7 +244,7 @@ def single_variable_cap(mask: int, t1111: int = 0, margin: int = 50) -> int:
         if not instance_feasible(t):
             break
         m += 1
-    for extra in range(2, margin + 2):
+    for extra in range(2, _CAP_MARGIN + 2):
         t = {15: t1111}
         t[mask] = t.get(mask, 0) + m + extra
         if instance_feasible(t):

@@ -27,7 +27,14 @@ from math import comb
 from equiangular.exactnum import QuadExt, Scalar, inv_sqrt, quad_sign
 from equiangular.linalg import SymMatrix, rank_of
 from equiangular.pillars import PillarDecomposition, decompose
-from equiangular.seidel import EquiangularSet, SeidelMatrix, SwitchingOp, square_mismatch, switch
+from equiangular.seidel import (
+    EquiangularSet,
+    Graph,
+    SeidelMatrix,
+    SwitchingOp,
+    square_mismatch,
+    switch,
+)
 
 # The six octads through point 1 whose hatted vectors (last three negated)
 # form the 6-base of the 276-line system.
@@ -258,8 +265,6 @@ def paley_conference(q: int) -> SeidelMatrix:
     for x in range(1, q):
         chi[x] = 1 if x in residues else -1
     n = q + 1
-    if n % 4 != 2:
-        raise AssertionError("order of a symmetric conference matrix is 2 mod 4")
     rows = [[0] * n for _ in range(n)]
     for j in range(1, n):
         rows[0][j] = rows[j][0] = 1
@@ -331,16 +336,8 @@ def block_52_family(ell: int) -> SymMatrix:
 def block_52_equiangular(ell: int) -> EquiangularSet:
     """The angle-1/5 set whose c-hat Gram is block_52_family(ell): Gram
     = (2/15)J + (13/15)*block matrix, i.e. l disjoint Seidel triangles."""
-    m = block_52_family(ell)
-    n = m.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(0)
-            else:
-                val = Fraction(2, 15) + Fraction(13, 15) * m.entry(i, j)
-                row.append(int(val / Fraction(1, 5)))
-        rows.append(row)
-    return EquiangularSet(Fraction(1, 5), SeidelMatrix(tuple(tuple(r) for r in rows)))
+    if ell < 1:
+        raise ValueError("l >= 1 required")
+    triangles = Graph.from_edges(3 * ell, [(3 * b + i, 3 * b + j) for b in range(ell)
+                                           for i, j in ((0, 1), (0, 2), (1, 2))])
+    return EquiangularSet(Fraction(1, 5), SeidelMatrix.from_graph(triangles))

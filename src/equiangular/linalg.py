@@ -94,11 +94,12 @@ class SymMatrix:
         return SymMatrix([[self.rows[i][j] for j in idx] for i in idx])
 
     def radicand(self) -> int | None:
-        for r in self.rows:
-            for x in r:
-                if isinstance(x, QuadExt) and x.b != 0:
-                    return x.d
-        return None
+        """The d of the entries with an irrational part, or None; entries over
+        two different radicands raise ValueError."""
+        ds = {x.d for r in self.rows for x in r if isinstance(x, QuadExt) and x.b != 0}
+        if len(ds) > 1:
+            raise ValueError(f"entries mix the radicands {sorted(ds)}")
+        return ds.pop() if ds else None
 
     def integral_scaled(self) -> tuple[list[list[list[int]]], int, int]:
         """(ms, c, d) for the least positive integer c that puts every entry

@@ -100,11 +100,11 @@ from equiangular.seidel import (
     SeidelMatrix,
     SwitchingOp,
     _clique_number,
+    _descendant,
     gram_matrix,
     graph_from_graph6,
     graph_to_graph6,
     max_clique,
-    switching_normalize,
 )
 
 
@@ -885,26 +885,21 @@ def m_star(r: int, jobs: int = 1) -> BoundReport:
 
 def switching_isomorphism(e1: EquiangularSet, e2: EquiangularSet) -> SwitchingOp | None:
     """An explicit switching operation carrying e1's Seidel matrix to e2's,
-    found through root-normalized descendant graphs; None if inequivalent."""
+    found through the descendants at vertex 0 of e1 and each vertex of e2;
+    None if inequivalent."""
     if e1.n != e2.n:
         raise ValueError("systems have different sizes")
     n = e1.n
     if n == 1:
         return SwitchingOp.identity(1)
-    norm1 = switching_normalize(e1, 0)
-    d1 = norm1.seidel.graph().induced(range(1, n))
+    adj2 = e2.seidel.graph().adj
+    d1 = _descendant(e1.seidel.graph().adj, 0)
     for w in range(n):
-        norm2 = switching_normalize(e2, w)
-        others = [v for v in range(n) if v != w]
-        d2 = norm2.seidel.graph().induced(others)
-        mapping = find_isomorphism(n - 1, d1.adj, d2.adj)
+        mapping = find_isomorphism(n - 1, d1, _descendant(adj2, w))
         if mapping is None:
             continue
-        target_of = {0: w}
-        for i in range(1, n):
-            target_of[i] = others[mapping[i - 1]]
-        slot_source = {target_of[src]: src for src in range(n)}
-        perm = tuple(slot_source[i] for i in range(n))
+        target = [w] + [x + (x >= w) for x in mapping]  # the slot of each source vertex
+        perm = tuple(sorted(range(n), key=target.__getitem__))
         op = _solve_signs(e1.seidel, e2.seidel, perm)
         if op is not None:
             return op

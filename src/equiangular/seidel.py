@@ -201,53 +201,39 @@ def _color_order(adj: Sequence[int], cand: int):
     return order, bounds, prefixes
 
 
-def _clique_number(adj: Sequence[int], n: int, stop_at: int | None = None) -> int:
-    """Branch and bound with greedy coloring bound; optionally stops early once
-    a clique of size stop_at is found."""
-    if n == 0:
-        return 0
-    best = 0
-    done = False
+def _clique_search(adj: Sequence[int], cand: int, best: int, stop: int | None) -> int:
+    """The size of a largest clique inside the candidate mask if it exceeds
+    best, else best: branch and bound with the greedy coloring bound.  Sizes
+    are read at maximal cliques, and the search ends at the first one of size
+    >= stop (None: never)."""
 
-    def expand(cand: int, size: int):
-        nonlocal best, done
-        if done:
-            return
+    def expand(cand: int, size: int) -> bool:  # True once stop is reached
+        nonlocal best
         if cand == 0:
-            if size > best:
-                best = size
-                if stop_at is not None and best >= stop_at:
-                    done = True
-            return
+            best = max(best, size)
+            return stop is not None and best >= stop
         order, bounds, prefixes = _color_order(adj, cand)
         for i in range(len(order) - 1, -1, -1):
-            if done or size + bounds[i] <= best:
-                return
+            if size + bounds[i] <= best:
+                return False
             v = order[i]
-            expand(cand & adj[v] & prefixes[i], size + 1)
-            cand &= ~(1 << v)
+            if expand(cand & adj[v] & prefixes[i], size + 1):
+                return True
+        return False
 
-    expand((1 << n) - 1, 0)
+    expand(cand, 0)
     return best
+
+
+def _clique_number(adj: Sequence[int], n: int, stop_at: int | None = None) -> int:
+    """Clique number; optionally stops early once a clique of size stop_at is
+    found."""
+    return _clique_search(adj, (1 << n) - 1, 0, stop_at)
 
 
 def _exists_clique(adj: Sequence[int], cand: int, need: int) -> bool:
     """Decision: is there a clique of size need inside the candidate mask?"""
-    if need <= 0:
-        return True
-    if cand.bit_count() < need:
-        return False
-    order, bounds, prefixes = _color_order(adj, cand)
-    if bounds[-1] < need:
-        return False
-    for i in range(len(order) - 1, -1, -1):
-        if bounds[i] < need:
-            return False
-        v = order[i]
-        if _exists_clique(adj, cand & adj[v] & prefixes[i], need - 1):
-            return True
-        cand &= ~(1 << v)
-    return False
+    return need <= 0 or _clique_search(adj, cand, need - 1, need) >= need
 
 
 def _clique_witness(adj: Sequence[int], n: int, size: int) -> list[int]:
@@ -502,13 +488,28 @@ def base_size_cap(alpha: Scalar) -> int:
     return scalar_floor(inv) + 1
 
 
+def _descendant(adj: Sequence[int], w: int) -> list[int]:
+    """The descendant of the two-graph at w, from the Seidel graph's rows: the
+    other vertices, renumbered in order, with i and j joined when
+    A_wi * A_wj * A_ij = -1.  Row i is adj[i] ^ adj[w], complemented when
+    A_wi = -1; bits i and w come out 0, and bit w is squeezed out."""
+    full = (1 << len(adj)) - 1
+    low = (1 << w) - 1
+    out = []
+    for i, row in enumerate(adj):
+        if i != w:
+            row ^= adj[w] ^ (full if adj[w] >> i & 1 else 0)
+            out.append(row & low | row >> 1 & ~low)
+    return out
+
+
 def base_size(e: EquiangularSet) -> tuple[int, tuple[int, ...], SwitchingOp]:
     """Maximum K with a K-subset switchable to Gram (1+alpha)I - alphaJ.
 
-    For each root vertex, flips make the root Seidel-adjacent to everything;
-    bases through the root then correspond exactly to cliques through the root
-    in the flipped graph, so K = 1 + max clique among the rest.  Scanning all
-    roots covers every base; the search stops early at the 1/alpha + 1 cap.
+    A base through a root vertex, switched so the root is Seidel-adjacent to
+    everything, is the root plus a clique of the descendant at the root, so
+    K = 1 + its clique number.  Scanning all roots covers every base; the
+    search stops early at the 1/alpha + 1 cap.
     """
     n = e.n
     if n < 2:
@@ -517,32 +518,23 @@ def base_size(e: EquiangularSet) -> tuple[int, tuple[int, ...], SwitchingOp]:
     best = 0
     best_base: tuple[int, ...] = ()
     best_op = SwitchingOp.identity(n)
-    rows = e.seidel.rows
+    adj = e.seidel.graph().adj
     for root in range(n):
-        flips = frozenset(v for v in range(n) if v != root and rows[root][v] == 1)
-        others = [v for v in range(n) if v != root]
-        adj = [0] * (n - 1)
-        for x in range(n - 1):
-            i = others[x]
-            si = -1 if i in flips else 1
-            for y in range(x + 1, n - 1):
-                j = others[y]
-                s = si * (-1 if j in flips else 1) * rows[i][j]
-                if s == -1:
-                    adj[x] |= 1 << y
-                    adj[y] |= 1 << x
-        omega = _clique_number(adj, n - 1, stop_at=cap - 1)
+        desc = _descendant(adj, root)
+        omega = _clique_number(desc, n - 1, stop_at=cap - 1)
         if 1 + omega > best:
             best = 1 + omega
-            witness = _clique_witness(adj, n - 1, omega)
-            best_base = tuple(sorted([root] + [others[x] for x in witness]))
-            best_op = SwitchingOp.flips_only(flips, n)
+            witness = _clique_witness(desc, n - 1, omega)
+            best_base = tuple(sorted([root] + [x + (x >= root) for x in witness]))
+            flips = (1 << n) - 1 ^ adj[root] ^ 1 << root  # the +1 entries of the root's row
+            best_op = SwitchingOp.flips_only(bits(flips), n)
         if best >= cap:
             break
-    # check the witness: the base is a clique in the switched Seidel graph
-    switched = best_op.apply(e.seidel)
+    # check the witness: every base pair is -1 after switching
+    rows = e.seidel.rows
     if best < 2 or any(
-        switched.rows[u][v] != -1 for i, u in enumerate(best_base) for v in best_base[i + 1 :]
+        best_op.sign(u) * best_op.sign(v) * rows[u][v] != -1
+        for i, u in enumerate(best_base) for v in best_base[i + 1 :]
     ):
         raise AssertionError("base witness failed re-check")
     return best, best_base, best_op

@@ -330,6 +330,16 @@ def test_block_52_family_ranks():
     assert linalg.psd_check(block_52_family(1)).verdict == "positive_definite"
 
 
+def test_block_52_equiangular_gram_is_the_scaled_block_family():
+    """Gram = (2/15)J + (13/15)*block_52_family(ell), entry by entry, and the
+    rank is that of the family."""
+    for ell in range(1, 7):
+        e, m = block_52_equiangular(ell), block_52_family(ell)
+        expected = [[Fraction(2, 15) + Fraction(13, 15) * x for x in row] for row in m.rows]
+        assert e.gram() == linalg.SymMatrix(expected)
+        assert e.rank == linalg.psd_check(m).rank == 2 * ell + 1
+
+
 def test_block_52_equiangular_base_size():
     for ell in (2, 3):
         e = block_52_equiangular(ell)

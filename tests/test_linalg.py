@@ -480,3 +480,17 @@ def test_integral_scaled_converts_each_distinct_entry_once(alpha):
     ms = _assert_same_integral_scaling(SymMatrix(rows))
     assert len(ms) == (2 if isinstance(alpha, QuadExt) else 1)
     assert all(len({id(x) for r in m_ for x in r}) <= 3 for m_ in ms)
+
+
+def test_entries_over_two_radicands_are_refused():
+    """[[1, sqrt5/3], [sqrt5/3, 1]] + [[1, sqrt17/4], [sqrt17/4, 1]] as a block
+    sum is indefinite (1 - 17/16 < 0), but no ring Z[sqrt d] holds both
+    blocks: radicand, to_json, psd_check and rank_of refuse the matrix rather
+    than read sqrt 17 as sqrt 5."""
+    a, b, z = QuadExt(0, frac(1, 3), 5), QuadExt(0, frac(1, 4), 17), frac(0)
+    m = SymMatrix([[1, a, z, z], [a, 1, z, z], [z, z, 1, b], [z, z, b, 1]])
+    assert psd_check(m.submatrix([0, 1])).verdict == POSITIVE_DEFINITE
+    assert psd_check(m.submatrix([2, 3])).verdict == INDEFINITE
+    for call in (m.radicand, m.to_json, lambda: psd_check(m), lambda: rank_of(m)):
+        with pytest.raises(ValueError, match="mix the radicands"):
+            call()

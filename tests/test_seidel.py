@@ -21,6 +21,10 @@ from equiangular.seidel import (
     Graph,
     SeidelMatrix,
     SwitchingOp,
+    _clique_number,
+    _clique_witness,
+    _descendant,
+    _exists_clique,
     base_size,
     base_size_cap,
     graph_from_graph6,
@@ -177,6 +181,47 @@ def test_paley_graph_clique_number():
     size, _ = max_clique(g)
     # brute force over all 4-subsets: no 4-clique exists
     assert size == exhaustive_clique(g)[0] == 3
+
+
+def test_clique_search_matches_networkx():
+    """On random graphs of 10 to 40 vertices: the clique number is networkx's;
+    a search stopped at s ends at the first maximal clique of size >= s it
+    meets, so every stop from s up to the size it returns gives that size;
+    a clique of size k exists exactly for k <= omega; and the witness is a
+    clique of size omega."""
+    networkx = pytest.importorskip("networkx")
+    rng = random.Random(25)
+    for trial in range(40):
+        n = rng.randint(10, 40)
+        g = networkx.gnp_random_graph(n, rng.choice((0.3, 0.5, 0.7)), seed=trial)
+        adj = [sum(1 << u for u in g[v]) for v in range(n)]
+        omega = networkx.max_weight_clique(g, weight=None)[1]
+        assert _clique_number(adj, n) == omega
+        for s in range(1, omega + 2):
+            size = _clique_number(adj, n, s)
+            assert min(size, s) == min(omega, s)
+            assert all(_clique_number(adj, n, t) == size for t in range(s, size + 1))
+        full = (1 << n) - 1
+        exists = [_exists_clique(adj, full, k) for k in range(omega + 2)]
+        assert exists == [True] * (omega + 1) + [False]
+        witness = _clique_witness(adj, n, omega)
+        assert len(set(witness)) == omega
+        assert all(g.has_edge(u, v) for u, v in itertools.combinations(witness, 2))
+
+
+def test_descendant_is_the_switched_seidel_graph_without_the_vertex():
+    """The descendant at w, read off the Seidel graph's row masks, equals the
+    Seidel graph of the system switched so w has +alpha with every vector,
+    induced on the other vertices."""
+    rng = random.Random(26)
+    for _ in range(40):
+        n = rng.randint(2, 30)
+        e = EquiangularSet(Fraction(1, 99), random_seidel(rng, n))
+        adj = e.seidel.graph().adj
+        for w in range(n):
+            others = [v for v in range(n) if v != w]
+            reference = switching_normalize(e, w).seidel.graph().induced(others)
+            assert _descendant(adj, w) == list(reference.adj)
 
 
 def brute_base_size(a: SeidelMatrix) -> int:
