@@ -233,21 +233,30 @@ def instance_feasible(t: dict) -> bool:
     return _is_psd4(_m_scaled(t))
 
 
+def _m_line(mask: int, t1111: int):
+    """v -> M of t_1111 fixed plus v in t_mask: each entry of _m_scaled is
+    quadratic in the counts, so M(v) = M(0) + v*D1 + v(v-1)/2 * D2 exactly."""
+    m0, m1, m2 = (_m_scaled({15: t1111 + v} if mask == 15 else {15: t1111, mask: v}) for v in range(3))
+    terms = [(a, b - a, c - 2 * b + a) for r in zip(m0, m1, m2) for a, b, c in zip(*r)]
+
+    def at(v: int) -> list[list[int]]:
+        w = v * (v - 1) // 2
+        flat = [a + v * d1 + w * d2 for a, d1, d2 in terms]
+        return [flat[0:4], flat[4:8], flat[8:12], flat[12:16]]
+
+    return at
+
+
 def single_variable_cap(mask: int, t1111: int = 0) -> int:
     """Largest value of t_B (all other variables zero except t_1111 fixed)
     keeping M positive semidefinite; the next _CAP_MARGIN values are re-checked
-    infeasible so no feasibility island is missed."""
+    infeasible so no feasibility island is missed; M comes from _m_line."""
+    at = _m_line(mask, t1111)
     m = 0
-    while True:
-        t = {15: t1111}
-        t[mask] = t.get(mask, 0) + m + 1
-        if not instance_feasible(t):
-            break
+    while _is_psd4(at(m + 1)):
         m += 1
-    for extra in range(2, _CAP_MARGIN + 2):
-        t = {15: t1111}
-        t[mask] = t.get(mask, 0) + m + extra
-        if instance_feasible(t):
+    for v in range(m + 2, m + _CAP_MARGIN + 2):
+        if _is_psd4(at(v)):
             raise AssertionError(f"feasibility island above the cap {m} for mask {mask}")
     return m
 

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from equiangular.exactnum import QuadExt, Scalar, inv_sqrt, quad_sign
-from equiangular.linalg import SymMatrix, rank_of
+from equiangular.linalg import SymMatrix, int_gram, rank_of
 from equiangular.pillars import PillarDecomposition, decompose
 from equiangular.seidel import (
     EquiangularSet,
@@ -150,21 +151,19 @@ def witt276() -> WittSystem:
     oct_data = golay_octads()
     vectors = [_w_vector(o) for o in oct_data.octads_through_1]
     vectors += [_v_vector(k) for k in range(2, 25)]
-    n = len(vectors)
-    hyper = [5 * v[0] + sum(v[1:]) for v in vectors]
-    if any(hyper):
+    unit = {80: 0, 16: 1, -16: -1}.__getitem__
+    rows = []
+    for i, dots in enumerate(int_gram(vectors)):
+        if dots[i] != 80:
+            raise AssertionError("all squared norms must equal 80")
+        if dots.count(16) + dots.count(-16) != len(dots) - 1:
+            # a pair (j, i) with j < i was tested at row j, so j > i here
+            j = next(j for j, dot in enumerate(dots) if j != i and dot not in (16, -16))
+            raise AssertionError(f"inner product {dots[j]} at pair ({i},{j})")
+        rows.append(tuple(map(unit, dots)))
+    if any(5 * v[0] + sum(v[1:]) for v in vectors):
         raise AssertionError("vectors must lie in the hyperplane 5x1 + sum = 0")
-    if any(sum(x * x for x in v) != 80 for v in vectors):
-        raise AssertionError("all squared norms must equal 80")
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        vi = vectors[i]
-        for j in range(i + 1, n):
-            dot = sum(a * b for a, b in zip(vi, vectors[j]))
-            if dot not in (16, -16):
-                raise AssertionError(f"inner product {dot} at pair ({i},{j})")
-            rows[i][j] = rows[j][i] = dot // 16
-    seidel = SeidelMatrix(tuple(tuple(r) for r in rows))
+    seidel = SeidelMatrix(tuple(rows))
     lines = EquiangularSet(Fraction(1, 5), seidel)
     base_idx = tuple(
         oct_data.octads_through_1.index(tuple(sorted(s))) for s in BASE_OCTADS
@@ -183,21 +182,18 @@ def witt276_base_and_pillars() -> tuple[EquiangularSet, PillarDecomposition]:
     form a -1/5 clique and every non-base vector has +1/5 with the sixth;
     the 270 remaining vectors then split into ten 27-vector pillars."""
     ws = witt276()
-    e = ws.lines
-    base = ws.base_indices
-    flips = {v for v, s in zip(base, ws.base_signs) if s == -1}
-    switched = switch(e, SwitchingOp.flips_only(flips, e.n))
+    e, base = ws.lines, ws.base_indices
+    rows = e.seidel.rows
+    sign = dict(zip(base, ws.base_signs))
     for i, u in enumerate(base):
         for v in base[i + 1 :]:
-            if switched.seidel.rows[u][v] != -1:
+            if sign[u] * sign[v] * rows[u][v] != -1:
                 raise AssertionError("base vectors must have mutual products -1/5")
     p6 = base[5]
-    direction_flips = {
-        v
-        for v in range(e.n)
-        if v not in base and switched.seidel.rows[p6][v] == -1
-    }
-    oriented = switch(switched, SwitchingOp.flips_only(direction_flips, e.n))
+    # non-base vectors keep their sign in the base switch
+    direction_flips = {v for v in range(e.n) if v not in sign and sign[p6] * rows[p6][v] == -1}
+    flips = {v for v, s in sign.items() if s == -1} | direction_flips
+    oriented = switch(e, SwitchingOp.flips_only(flips, e.n))
     return oriented, decompose(oriented, base)
 
 
@@ -219,11 +215,10 @@ def witt_spectrum_certificate() -> dict:
         raise AssertionError(f"A^2 = 50A + 275I is not certified (square coefficient "
                              f"{psd.square_coefficient})")
     m_hi, m_lo = psd.rank, n - psd.rank
-    coords = list(zip(*ws.vectors))
-    span = rank_of(SymMatrix([[sum(a * b for a, b in zip(x, y)) for y in coords] for x in coords]))
+    span = rank_of(SymMatrix(list(int_gram(list(zip(*ws.vectors))))))
     if m_hi != span:
         raise AssertionError(f"rank(A + 5I) = {m_hi} but the vectors span {span} dimensions")
-    trace_sq = sum(x * x for row in rows for x in row)
+    trace_sq = sum(sum(map(mul, row, row)) for row in rows)
     cert = {
         "order": n,
         "rank_A_plus_5I": m_hi,

@@ -70,12 +70,10 @@ of key 0 (_children_totals).
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import islice
+from itertools import chain, islice, pairwise
 from math import lcm
 from operator import add, mul, neg
 from typing import Iterable, Iterator, Sequence
@@ -93,7 +91,7 @@ from equiangular.exactnum import (
     zsqrt_mul,
 )
 from equiangular.graphenum import ClassSet, attach_vertex, count_graph_classes, find_isomorphism
-from equiangular.linalg import SymMatrix
+from equiangular.linalg import SymMatrix, unpack_fields
 from equiangular.seidel import (
     EquiangularSet,
     Graph,
@@ -324,29 +322,18 @@ def _sign_quads(ms: list[list[list[int]]]) -> list[list[int]]:
     order; neg is minus the sum of the negative m_ij.  Every partial sum of
     a field lies in [0, reach], reach = sum of |m_ij| over i < j, so no field
     carries into the next; a field is the least whole number of bytes that
-    holds reach, and at least one (reach is 0 for a 1x1 matrix).  Fields of
-    up to 8 bytes are copied into 8-byte slots, one strided slice per byte,
-    and read as one array("Q"); wider fields are read one slice each."""
+    holds reach, and at least one (reach is 0 for a 1x1 matrix), read by
+    linalg.unpack_fields."""
     n = len(ms[0])
     upper = [[row[j] for i, row in enumerate(m) for j in range(i + 1, n)] for m in ms]
     reach = max(sum(map(abs, xs)) for xs in upper)
     step = max(1, (reach.bit_length() + 7) // 8)
-    size = step << (n - 1)
     ones, pairs = _patterns(n, step)
     out = []
     for m, xs in zip(ms, upper):
         neg = -sum([x for x in xs if x < 0])
         base = sum(map(sum, m)) + 4 * neg  # q1 + 4*neg
-        raw = sum(map(mul, xs, pairs), neg * ones).to_bytes(size, "little")
-        if step > 8:
-            fields = (int.from_bytes(raw[i:i + step], "little") for i in range(0, size, step))
-        else:  # widen each field to an 8-byte slot and read them all as one array
-            wide = bytearray(8 << (n - 1))
-            for b in range(step):
-                wide[b::8] = raw[b::step]
-            fields = array("Q", wide)
-            if sys.byteorder == "big":
-                fields.byteswap()
+        fields = unpack_fields(sum(map(mul, xs, pairs), neg * ones), step, 1 << (n - 1))
         out.append([base - 4 * x for x in fields])
     return out
 
@@ -705,7 +692,7 @@ def _final_totals(mode: _Mode, parents: Iterable[dict], r: int, jobs: int):
     reduced as soon as the step yields it, with one class-key memo for the
     whole level, freed with this generator; with more, parents go to a
     worker pool in batches of 64, as tasks of 16 parents with one memo
-    each."""
+    each, and the next batch is stepped while the pool reduces the last."""
     step = _pd_step(mode, parents, r - 2)
     if jobs <= 1:
         keys: dict = {}
@@ -715,11 +702,16 @@ def _final_totals(mode: _Mode, parents: Iterable[dict], r: int, jobs: int):
     from multiprocessing import Pool
 
     pool = Pool(jobs)
-    try:
+
+    def submitted():
         while batch := list(islice(step, 64)):
             items = [(rec["det"], ms, pvals, nbs) for rec, ms, pvals, nbs in batch]
             tasks = [(mode, r, items[i:i + 16]) for i in range(0, len(items), 16)]
-            totals = [t for task in pool.starmap(_task_totals, tasks) for t in task]
+            yield batch, pool.starmap_async(_task_totals, tasks)
+
+    try:  # pairwise steps and submits the next batch before this one is read
+        for (batch, result), _ in pairwise(chain(submitted(), [None])):
+            totals = [t for task in result.get() for t in task]
             for (rec, _, _, nbs), group_totals in zip(batch, totals):
                 yield rec, nbs, group_totals
     finally:

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from equiangular import linalg
@@ -337,21 +338,17 @@ class SwitchingOp:
         return SwitchingOp(flips, tuple(inv))
 
     def apply(self, seidel: SeidelMatrix) -> SeidelMatrix:
+        """sign(i) sign(j) A[perm i][perm j], row i from the source row perm[i]."""
         n = seidel.n
         if len(self.perm) != n:
             raise ValueError("permutation size mismatch")
-        rows = []
-        for i in range(n):
-            si = self.sign(i)
-            rows.append(
-                tuple(
-                    si * self.sign(j) * seidel.rows[self.perm[i]][self.perm[j]]
-                    if i != j
-                    else 0
-                    for j in range(n)
-                )
-            )
-        return SeidelMatrix(tuple(rows))
+        signs = [self.sign(v) for v in range(n)]
+        negated = [-s for s in signs]
+        return SeidelMatrix(tuple(
+            tuple(map(mul, map(seidel.rows[p].__getitem__, self.perm),
+                      negated if i in self.flips else signs))
+            for i, p in enumerate(self.perm)
+        ))
 
 
 def gram_matrix(alpha: Scalar, seidel: SeidelMatrix) -> SymMatrix:

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from equiangular import linalg
+from equiangular import bounds, linalg
 from equiangular.bounds import (
     B4_CLASSES,
     DEGREE_CLASS_CAPS,
     T1111_CAP,
     PillarStructureError,
+    _CAP_MARGIN,
     _coexistence_feasible_st,
+    _m_line,
     _m_scaled,
     coexistence_check,
     degree_class_cap,
@@ -126,6 +128,42 @@ def test_single_variable_caps():
     for cls in (1, 2, 3):
         caps = {single_variable_cap(m) for m in B4_CLASSES[cls]}
         assert len(caps) == 1
+
+
+_TABLE2_CAPS = [(rep, t1111) for t1111 in range(T1111_CAP + 1) for rep in (0, 1, 3, 7)]
+_SINGLE_CAPS = [(mask, 0) for mask in (0, 1, 3, 7, 15)]
+
+
+def _line_point(mask, t1111, v):
+    t = {15: t1111}
+    t[mask] = t.get(mask, 0) + v
+    return t
+
+
+def test_cap_walk_reads_the_schur_matrix_off_its_line(monkeypatch):
+    # every matrix the walk tests is _m_scaled at v = 1 .. cap + 1 (the walk
+    # up) and then cap + 2 .. cap + 1 + _CAP_MARGIN (the margin), in order
+    seen = []
+    psd4 = bounds._is_psd4
+    monkeypatch.setattr(bounds, "_is_psd4", lambda m: seen.append(m) or psd4(m))
+    for mask, t1111 in _TABLE2_CAPS + _SINGLE_CAPS:
+        seen.clear()
+        cap = single_variable_cap(mask, t1111)
+        vs = range(1, cap + _CAP_MARGIN + 2)
+        assert seen == [_m_scaled(_line_point(mask, t1111, v)) for v in vs]
+        at = _m_line(mask, t1111)
+        assert [at(v) for v in vs] == seen
+
+
+def test_cap_walk_still_checks_its_margin(monkeypatch):
+    # a matrix reported feasible 30 values above the cap is a feasibility
+    # island, which only the margin re-check can see
+    cap = single_variable_cap(0b0001)
+    island = _m_scaled(_line_point(0b0001, 0, cap + 30))
+    psd4 = bounds._is_psd4
+    monkeypatch.setattr(bounds, "_is_psd4", lambda m: m == island or psd4(m))
+    with pytest.raises(AssertionError, match=f"feasibility island above the cap {cap} for mask 1"):
+        single_variable_cap(0b0001)
 
 
 def _product_scan(cls):

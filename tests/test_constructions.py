@@ -25,11 +25,14 @@ from equiangular.constructions import (
     witt_spectrum_certificate,
 )
 from equiangular.exactnum import parse_scalar
+from equiangular.pillars import decompose
 from equiangular.seidel import (
     EquiangularSet,
     SeidelMatrix,
+    SwitchingOp,
     base_size,
     gram_matrix,
+    switch,
     two_eigenvalue_certificate,
 )
 
@@ -239,6 +242,44 @@ def test_witt_pillar_decomposition(witt_pillars):
     # partition
     seen = sorted(v for verts in dec.pillars.values() for v in verts)
     assert seen == [v for v in range(276) if v not in b]
+
+
+def test_one_composed_switch_orients_the_witt_system_as_two_steps_do(witt, witt_pillars):
+    # the former route: switch the base signs, test the base, then flip every
+    # non-base vector with product -1/5 with the sixth base vector
+    e, base = witt.lines, witt.base_indices
+    first = switch(e, SwitchingOp.flips_only(
+        {v for v, s in zip(base, witt.base_signs) if s == -1}, e.n))
+    assert all(first.seidel.rows[u][v] == -1 for u, v in itertools.combinations(base, 2))
+    second = switch(first, SwitchingOp.flips_only(
+        {v for v in range(e.n) if v not in base and first.seidel.rows[base[5]][v] == -1}, e.n))
+    oriented, dec = witt_pillars
+    assert oriented.seidel == second.seidel
+    assert oriented.psd_certificate == second.psd_certificate
+    assert dec == decompose(second, base)
+    assert sorted(dec.sizes().values()) == [27] * 10
+
+
+_CHANGED_COORDINATE = (
+    "from equiangular import constructions\n"
+    "v_vector = constructions._v_vector\n"
+    "def changed(k):\n"
+    "    v = list(v_vector(k))\n"
+    "    if k == 7:\n"
+    "        v[2] = 1  # was -1: the norm stays 80\n"
+    "    return tuple(v)\n"
+    "constructions._v_vector = changed\n"
+    "constructions.witt276()\n"
+)
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+def test_witt_with_one_changed_coordinate_is_rejected(flags):
+    # v_7 is vector 253 + 5; its product with vector 0 moves off +-16
+    proc = _run_python(*flags, "-c", _CHANGED_COORDINATE)
+    assert proc.returncode != 0
+    assert "AssertionError: inner product" in proc.stderr
+    assert "at pair (0,258)" in proc.stderr
 
 
 def test_witt_pillar_triangles(witt_pillars):

@@ -14,8 +14,10 @@ from equiangular.linalg import (
     POSITIVE_SEMIDEFINITE_SINGULAR,
     PsdCertificate,
     SymMatrix,
+    int_gram,
     psd_check,
     rank_of,
+    unpack_fields,
 )
 
 
@@ -494,3 +496,26 @@ def test_entries_over_two_radicands_are_refused():
     for call in (m.radicand, m.to_json, lambda: psd_check(m), lambda: rank_of(m)):
         with pytest.raises(ValueError, match="mix the radicands"):
             call()
+
+
+# -- packed integer rows -------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda dim: st.lists(
+    st.lists(st.integers(-2**40, 2**40), min_size=dim, max_size=dim), min_size=1, max_size=60
+)))
+def test_int_gram_matches_plain_dots(vectors):
+    # entries up to 2^40 make fields of about 11 bytes, past the array("Q") path
+    rows = list(int_gram(vectors))
+    assert rows == [[sum(a * b for a, b in zip(x, y)) for y in vectors] for x in vectors]
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, 4, 5, 8, 9])
+def test_unpack_fields_reads_every_step(step):
+    rng = random.Random(step)
+    top = (1 << 8 * step) - 1
+    for count in (1, 2, 7, 64):
+        values = [rng.choice((0, 1, top, rng.randrange(top + 1))) for _ in range(count)]
+        packed = sum(v << 8 * step * k for k, v in enumerate(values))
+        assert list(unpack_fields(packed, step, count)) == values

@@ -92,6 +92,26 @@ def test_switching_invariants_random():
         assert fl.apply(fl.apply(a)) == a
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from((1, -1)), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+    st.permutations(range(n)),
+    st.sets(st.integers(0, n - 1)),
+)))
+def test_switching_apply_matches_its_entrywise_definition(case):
+    upper, perm, flips = case
+    n = len(perm)
+    entries = iter(upper)
+    rows = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        rows[i][j] = rows[j][i] = next(entries)
+    op = SwitchingOp(frozenset(flips), tuple(perm))
+    sign = [-1 if v in flips else 1 for v in range(n)]
+    expected = tuple(tuple(sign[i] * sign[j] * rows[perm[i]][perm[j]] for j in range(n))
+                     for i in range(n))
+    assert op.apply(SeidelMatrix(tuple(map(tuple, rows)))).rows == expected
+
+
 def test_switch_preserves_rank_and_psd():
     rng = random.Random(21)
     for _ in range(30):
