@@ -9,9 +9,10 @@ A = J - I - 2*Adj(S).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -49,10 +50,10 @@ class Graph:
                 raise ValueError("edge beyond vertex range")
             if row >> v & 1:
                 raise ValueError("loops not allowed")
-        for v in range(self.n):
-            for u in bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError("adjacency not symmetric")
+        # character u of row v's string is bit u: symmetric iff strs is its transpose
+        strs = [format(row, f"0{self.n}b")[::-1] for row in self.adj]
+        if list(map("".join, zip(*strs))) != strs:
+            raise ValueError("adjacency not symmetric")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -81,9 +82,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(v, u) for v in range(self.n) for u in bits(self.adj[v]) if u > v]
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         vs = list(vertices)
@@ -266,27 +264,49 @@ def max_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
 # -- Seidel matrices and equiangular sets -------------------------------------
 
 
+# an int8 byte of a Seidel row -> its digit in the row's -1 mask (0xff is -1)
+_MINUS_ONE_DIGITS = bytes.maketrans(b"\xff\x00\x01", b"100")
+
+
+def _first_fault(rows) -> str:
+    """Why int rows that failed a whole-row test are not a Seidel matrix: the
+    first bad entry row by row, the diagonal, then j > i, symmetry before +-1."""
+    for i, (row, col) in enumerate(zip(rows, zip(*rows))):
+        if row[i] != 0:
+            return "diagonal must be zero"
+        upper, mirror = tuple(row[i + 1 :]), col[i + 1 :]
+        if upper != mirror or upper.count(1) + upper.count(-1) != len(upper):
+            j = next(j for j, x, y in zip(count(i + 1), upper, mirror) if x != y or x not in (1, -1))
+            if row[j] != col[j]:
+                return f"not symmetric at ({i},{j})"
+            return f"entry {row[j]!r} at ({i},{j}) is not +-1"
+    raise AssertionError("no faulty entry in rows that failed a whole-row test")
+
+
 @dataclass(frozen=True)
 class SeidelMatrix:
-    """Integer symmetric matrix with zero diagonal and +-1 off-diagonal."""
+    """Integer symmetric matrix with zero diagonal and +-1 off-diagonal; its
+    Seidel graph (the -1 entries as row masks) is built once, on validation."""
 
     rows: tuple[tuple[int, ...], ...]
+    _graph: Graph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.rows)
-        if n < 1 or any(len(r) != n for r in self.rows):
+        rows = self.rows
+        n = len(rows)
+        if n < 1 or any(len(r) != n for r in rows):
             raise ValueError("square matrix required")
-        if set(map(type, chain.from_iterable(self.rows))) != {int}:
+        if set(map(type, chain.from_iterable(rows))) != {int}:
             raise ValueError("entries must be integers")
-        for i in range(n):
-            if self.rows[i][i] != 0:
-                raise ValueError("diagonal must be zero")
-            for j in range(i + 1, n):
-                x = self.rows[i][j]
-                if x != self.rows[j][i]:
-                    raise ValueError(f"not symmetric at ({i},{j})")
-                if x not in (1, -1):
-                    raise ValueError(f"entry {x!r} at ({i},{j}) is not +-1")
+        if all(row[i] == 0 and row.count(1) + row.count(-1) == n - 1 for i, row in enumerate(rows)):
+            masks = tuple(int(array("b", row).tobytes().translate(_MINUS_ONE_DIGITS)[::-1], 2)
+                          for row in rows)  # bit j of mask i: A_ij == -1
+            try:
+                object.__setattr__(self, "_graph", Graph(n, masks))  # checks symmetry
+                return
+            except ValueError:
+                pass
+        raise ValueError(_first_fault(rows))
 
     @property
     def n(self) -> int:
@@ -300,14 +320,7 @@ class SeidelMatrix:
                          for i in span))
 
     def graph(self) -> Graph:
-        n = self.n
-        adj = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.rows[i][j] == -1:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        return Graph(n, tuple(adj))
+        return self._graph
 
 
 @dataclass(frozen=True)
@@ -361,14 +374,14 @@ def gram_matrix(alpha: Scalar, seidel: SeidelMatrix) -> SymMatrix:
 
 def square_mismatch(seidel: SeidelMatrix, a: int) -> tuple[int, int] | None:
     """The first pair i < j, row by row, at which the Seidel matrix A breaks
-    A^2 = aA + (n - 1)I, or None.  The diagonal always holds; off it, with P_i
-    the bitmask of the +1 entries of row i, (A^2)_ij = n + 2A_ij - 2|P_i ^ P_j|
-    (rows i and j differ off {i, j} in |P_i ^ P_j| - 1 - A_ij places)."""
+    A^2 = aA + (n - 1)I, or None.  The diagonal always holds; off it, with N_i
+    the Seidel graph's mask of the -1 entries of row i, (A^2)_ij = n - 2A_ij -
+    2|N_i ^ N_j| (rows i and j differ off {i, j} in |N_i ^ N_j| - 1 + A_ij places)."""
     n = seidel.n
-    pos = [sum(1 << j for j, x in enumerate(row) if x == 1) for row in seidel.rows]
-    for i, (row, p) in enumerate(zip(seidel.rows, pos)):
+    neg = seidel.graph().adj
+    for i, (row, m) in enumerate(zip(seidel.rows, neg)):
         for j in range(i + 1, n):
-            if 2 * (p ^ pos[j]).bit_count() != n + (2 - a) * row[j]:
+            if 2 * (m ^ neg[j]).bit_count() != n - (a + 2) * row[j]:
                 return i, j
     return None
 
@@ -469,14 +482,6 @@ def switch(e: EquiangularSet, op: SwitchingOp) -> EquiangularSet:
     new = op.apply(e.seidel)
     cert = PsdCertificate(e._psd.verdict, e._psd.rank)
     return EquiangularSet(e.alpha, new, psd_certificate=cert)
-
-
-def switching_normalize(e: EquiangularSet, root: int) -> EquiangularSet:
-    """Flip vertices so every inner product with the root is +alpha; idempotent."""
-    flips = frozenset(
-        v for v in range(e.n) if v != root and e.seidel.rows[root][v] == -1
-    )
-    return switch(e, SwitchingOp.flips_only(flips, e.n))
 
 
 def base_size_cap(alpha: Scalar) -> int:

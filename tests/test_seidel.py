@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 import sympy
@@ -26,6 +27,7 @@ from equiangular.seidel import (
     _descendant,
     _exists_clique,
     base_size,
+    bits,
     base_size_cap,
     graph_from_graph6,
     gram_matrix,
@@ -33,7 +35,6 @@ from equiangular.seidel import (
     max_clique,
     square_mismatch,
     switch,
-    switching_normalize,
     two_eigenvalue_certificate,
 )
 
@@ -124,6 +125,13 @@ def test_switch_preserves_rank_and_psd():
         f = switch(e, random_op(rng, n))
         assert f.rank == e.rank
         assert psd_check(f.gram()).verdict == psd_check(e.gram()).verdict
+
+
+def switching_normalize(e: EquiangularSet, root: int) -> EquiangularSet:
+    """Flip vertices so every inner product with the root is +alpha; idempotent.
+    The reference route for the descendant at the root."""
+    flips = frozenset(v for v in range(e.n) if v != root and e.seidel.rows[root][v] == -1)
+    return switch(e, SwitchingOp.flips_only(flips, e.n))
 
 
 def test_switching_normalize():
@@ -482,3 +490,129 @@ def test_square_mismatch_matches_the_matrix_square(seidel, a):
         if sum(x * y for x, y in zip(rows[i], rows[j])) != a * rows[i][j]
     ]
     assert square_mismatch(seidel, a) == (bad[0] if bad else None)
+
+
+# -- validation against the pairwise reference ---------------------------------
+
+
+def _pairwise_seidel_fault(rows):
+    """The pairwise checks SeidelMatrix made before it built row masks: the
+    ValueError message for rows, or None when they form a Seidel matrix."""
+    n = len(rows)
+    if n < 1 or any(len(r) != n for r in rows):
+        return "square matrix required"
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        return "entries must be integers"
+    for i in range(n):
+        if rows[i][i] != 0:
+            return "diagonal must be zero"
+        for j in range(i + 1, n):
+            x = rows[i][j]
+            if x != rows[j][i]:
+                return f"not symmetric at ({i},{j})"
+            if x not in (1, -1):
+                return f"entry {x!r} at ({i},{j}) is not +-1"
+    return None
+
+
+def _per_edge_graph_fault(n, adj):
+    """The per-edge checks of Graph before its transpose comparison."""
+    if n < 1 or len(adj) != n:
+        return "adjacency size mismatch"
+    for v, row in enumerate(adj):
+        if row >> n:
+            return "edge beyond vertex range"
+        if row >> v & 1:
+            return "loops not allowed"
+    for v in range(n):
+        for u in bits(adj[v]):
+            if not adj[u] >> v & 1:
+                return "adjacency not symmetric"
+    return None
+
+
+def _outcome(build):
+    try:
+        build()
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc), str(exc)
+    return None
+
+
+def _check_seidel_against_the_reference(rows):
+    want = _pairwise_seidel_fault(rows)
+    assert _outcome(lambda: SeidelMatrix(rows)) == (None if want is None else (ValueError, want))
+    if want is None:
+        seidel = SeidelMatrix(rows)
+        g = seidel.graph()
+        minus = tuple(sum(1 << j for j, x in enumerate(row) if x == -1) for row in rows)
+        assert (g.n, g.adj) == (len(rows), minus)
+        assert SeidelMatrix.from_graph(g) == seidel and SeidelMatrix.from_graph(g).graph() == g
+
+
+def _check_graph_against_the_reference(n, adj):
+    want = _per_edge_graph_fault(n, adj)
+    assert _outcome(lambda: Graph(n, adj)) == (None if want is None else (ValueError, want))
+
+
+# entries that break a Seidel matrix: bool, float, zero, and ints other than +-1
+_BAD_ENTRIES = (True, False, 0.0, -1.0, 1.0, 0, 2, 3, -2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sampled_from((1, -1)), min_size=n * n, max_size=n * n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                       st.sampled_from(_BAD_ENTRIES + (1, -1)), st.booleans()), max_size=2),
+)))
+def test_seidel_matrix_rejects_what_the_pairwise_checks_reject(case):
+    """Up to two injected faults: a value at (i, j) (the diagonal included),
+    written to (j, i) too when mirrored.  Same exception and message as the
+    pairwise reference; on valid rows the graph is the -1 masks."""
+    n, signs, faults = case
+    rows = [[0 if i == j else signs[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    for i, j, x, mirror in faults:
+        rows[i][j] = x
+        if mirror:
+            rows[j][i] = x
+    _check_seidel_against_the_reference(tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param(((0, 1, 1), (1, 0, -1), (1, -1, 0)), id="valid"),
+    pytest.param(((1, 1), (1, 0)), id="nonzero-diagonal"),
+    pytest.param(((0, 1, -1), (1, 0, 1), (1, 1, 0)), id="asymmetric-pair"),
+    pytest.param(((0, 1, 1), (1, 0, -1), (-1, -1, 0)), id="asymmetric-pair-written-below"),
+    pytest.param(((0, 0), (0, 0)), id="off-diagonal-0"),
+    pytest.param(((0, 2), (2, 0)), id="off-diagonal-2"),
+    pytest.param(((0, 1, 2), (1, 0, 1), (3, 1, 0)), id="2-against-3"),
+    pytest.param(((0, 1, 1), (1, 0, 2), (1, 1, 0)), id="2-against-1"),
+    pytest.param(((0, -1, 1), (-1, 5, 1), (1, 1, 0)), id="diagonal-after-a-valid-row"),
+    pytest.param(((0, 1), (1,)), id="not-square"),
+])
+def test_seidel_matrix_faults_named_as_the_pairwise_checks_name_them(rows):
+    _check_seidel_against_the_reference(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.booleans(), min_size=n * n, max_size=n * n),
+    st.lists(st.tuples(st.sampled_from(("beyond", "loop", "one_side")),
+                       st.integers(0, n - 1), st.integers(0, n + 3)), max_size=2),
+)))
+def test_graph_rejects_what_the_per_edge_checks_reject(case):
+    """A symmetric loopless graph with up to two injected faults: a bit at or
+    beyond n, a loop, or one side of an edge toggled."""
+    n, coin, faults = case
+    adj = [sum(1 << u for u in range(n) if u != v and coin[min(u, v) * n + max(u, v)])
+           for v in range(n)]
+    for kind, v, u in faults:
+        if kind == "beyond":
+            adj[v] |= 1 << max(u, n)
+        elif kind == "loop":
+            adj[v] |= 1 << v
+        elif u % n != v:
+            adj[v] ^= 1 << u % n
+    _check_graph_against_the_reference(n, tuple(adj))
