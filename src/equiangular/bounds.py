@@ -159,7 +159,6 @@ def pillar_coexistence_bound(n: int) -> BoundReport:
 B4_CLASSES = {i: tuple(m for m in range(16) if bin(m).count("1") == i) for i in range(5)}
 DEGREE_CLASS_CAPS = {1: 16, 2: 13, 3: 16}  # established by degree_class_cap
 T1111_CAP = 39  # single_variable_cap(0b1111)
-_CAP_MARGIN = 50  # values above a single-variable cap re-checked infeasible
 
 
 def mask_label(mask: int) -> str:
@@ -196,8 +195,8 @@ def _is_psd4(m: list[list[int]]) -> bool:
     (sums of principal minors of each order must be nonnegative).
 
     Kept beside linalg.psd_check because it is far faster on these matrices:
-    on the 8460 that table2() tests it took 0.02-0.07 s against 1.7-2.2 s
-    for psd_check (Python 3.11, 2-vCPU x86-64 VM)."""
+    on the 620 that table2() tests it took 3-5 ms against 75-80 ms for
+    psd_check (Python 3.11, 2-vCPU x86-64 VM)."""
     e1 = m[0][0] + m[1][1] + m[2][2] + m[3][3]
     if e1 < 0:
         return False
@@ -234,14 +233,15 @@ def instance_feasible(t: dict) -> bool:
 
 
 def _m_line(mask: int, t1111: int):
-    """v -> M of t_1111 fixed plus v in t_mask: each entry of _m_scaled is
-    quadratic in the counts, so M(v) = M(0) + v*D1 + v(v-1)/2 * D2 exactly."""
+    """v -> M(0) + v*D1, M of t_1111 fixed plus v in t_mask: the v^2 terms of
+    -s*K and a*a^T cancel, so raises unless D2 of the samples v = 0, 1, 2 is 0."""
     m0, m1, m2 = (_m_scaled({15: t1111 + v} if mask == 15 else {15: t1111, mask: v}) for v in range(3))
     terms = [(a, b - a, c - 2 * b + a) for r in zip(m0, m1, m2) for a, b, c in zip(*r)]
+    if any(d2 for _, _, d2 in terms):
+        raise AssertionError(f"the Schur matrix is not affine along mask {mask} at t1111 = {t1111}")
 
     def at(v: int) -> list[list[int]]:
-        w = v * (v - 1) // 2
-        flat = [a + v * d1 + w * d2 for a, d1, d2 in terms]
+        flat = [a + v * d1 for a, d1, _ in terms]
         return [flat[0:4], flat[4:8], flat[8:12], flat[12:16]]
 
     return at
@@ -249,15 +249,15 @@ def _m_line(mask: int, t1111: int):
 
 def single_variable_cap(mask: int, t1111: int = 0) -> int:
     """Largest value of t_B (all other variables zero except t_1111 fixed)
-    keeping M positive semidefinite; the next _CAP_MARGIN values are re-checked
-    infeasible so no feasibility island is missed; M comes from _m_line."""
+    keeping M positive semidefinite.  M from _m_line is affine in v, so the
+    feasible v form an interval (the PSD cone is convex): raises unless v = 0
+    is feasible, then walks up to the first infeasible v."""
     at = _m_line(mask, t1111)
+    if not _is_psd4(at(0)):
+        raise AssertionError(f"the line of mask {mask} at t1111 = {t1111} starts infeasible")
     m = 0
     while _is_psd4(at(m + 1)):
         m += 1
-    for v in range(m + 2, m + _CAP_MARGIN + 2):
-        if _is_psd4(at(v)):
-            raise AssertionError(f"feasibility island above the cap {m} for mask {mask}")
     return m
 
 

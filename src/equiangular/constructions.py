@@ -13,8 +13,8 @@ greedy extension starting from the five independent rows among the six base
 octads used below (the sixth is their GF(2) sum), scanning 24-bit words in
 increasing numeric order and keeping weight-8 words that preserve even
 intersections and minimum distance 8.  Re-running golay_octads() re-verifies
-the weight distribution, the octad counts, and the Steiner property, so the
-construction does not rest on trust in the pinned rows.
+the weight distribution and the octad counts, which imply the Steiner property,
+so the construction does not rest on trust in the pinned rows.
 """
 
 from __future__ import annotations
@@ -85,9 +85,11 @@ class WittOctads:
 @lru_cache(maxsize=1)
 def golay_octads() -> WittOctads:
     """The 759 octads of S(5,8,24), regenerated from the pinned generator and
-    fully re-verified: weight distribution (0,759,2576,759,1), 253 octads
-    through point 1, and the Steiner property via the exact counting identity
-    759*C(8,5) = C(24,5) together with pairwise intersections <= 4."""
+    re-verified: weight distribution (0,759,2576,759,1) and 253 octads through
+    point 1.  The Steiner property follows: for octads a != b of the code (the
+    GF(2) span of the generator) a ^ b is a codeword, of weight >= 8 by the
+    distribution, so |a & b| = (16 - wt(a ^ b))/2 <= 4 and no 5-subset lies in
+    two octads; 759*C(8,5) = C(24,5) then covers every 5-subset."""
     code = {0}
     for row in GOLAY_GENERATOR:
         code |= {w ^ row for w in code}
@@ -103,10 +105,6 @@ def golay_octads() -> WittOctads:
     through1 = [w for w in octads if w & 1]
     if len(through1) != 253:
         raise AssertionError("octads through point 1 must number 253")
-    for i, a in enumerate(octads):
-        for b in octads[i + 1 :]:
-            if (a & b).bit_count() > 4:
-                raise AssertionError("two octads share a 5-subset")
     # 759 * C(8,5) == C(24,5): with no 5-subset repeated, all are covered
     if len(octads) * comb(8, 5) != comb(24, 5):
         raise AssertionError("octads do not cover every 5-subset")

@@ -168,11 +168,12 @@ class BasisSeed:
             self.nonroot_graph6 = graph_to_graph6(self.graph)
 
     def gram(self) -> SymMatrix:
-        return gram_matrix(self.alpha, self.seidel())
+        return gram_matrix(self.alpha, SeidelMatrix(tuple(map(tuple, self._seidel_rows()))))
 
-    def seidel(self) -> SeidelMatrix:
-        # the root is vertex 0, with no edge (+1 with every other vertex)
-        return SeidelMatrix.from_graph(Graph(self.r, (0,) + tuple(m << 1 for m in self.graph.adj)))
+    def _seidel_rows(self) -> list[list[int]]:
+        # unvalidated: the root is vertex 0, +1 with every other vertex, and an edge is -1
+        adj, span = (0,) + tuple(m << 1 for m in self.graph.adj), range(self.r)
+        return [[0 if i == j else -1 if adj[i] >> j & 1 else 1 for j in span] for i in span]
 
 
 @dataclass(frozen=True)
@@ -501,7 +502,7 @@ def realize(seed: BasisSeed, cands: CandidateSet, chosen: Sequence[int]) -> Equi
     rebuilt from scratch and re-certified (PSD, rank = r, entries +-alpha)."""
     r = seed.r
     n = r + len(chosen)
-    rows = [list(row) + [0] * (n - r) for row in seed.seidel().rows] + [[0] * n for _ in chosen]
+    rows = [row + [0] * (n - r) for row in seed._seidel_rows()] + [[0] * n for _ in chosen]
     lines = cands.lines
     tgt = list(seed.det) if seed.mode.d else [seed.det]
     for a, ci in enumerate(chosen):

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -6,13 +9,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import equiangular
 from equiangular import bounds, linalg
 from equiangular.bounds import (
     B4_CLASSES,
     DEGREE_CLASS_CAPS,
     T1111_CAP,
     PillarStructureError,
-    _CAP_MARGIN,
     _coexistence_feasible_st,
     _m_line,
     _m_scaled,
@@ -141,29 +144,93 @@ def _line_point(mask, t1111, v):
 
 
 def test_cap_walk_reads_the_schur_matrix_off_its_line(monkeypatch):
-    # every matrix the walk tests is _m_scaled at v = 1 .. cap + 1 (the walk
-    # up) and then cap + 2 .. cap + 1 + _CAP_MARGIN (the margin), in order
+    # every matrix the walk tests is _m_scaled at v = 0 (the start) and then
+    # v = 1 .. cap + 1 (the walk up to the first infeasible value), in order
     seen = []
     psd4 = bounds._is_psd4
     monkeypatch.setattr(bounds, "_is_psd4", lambda m: seen.append(m) or psd4(m))
     for mask, t1111 in _TABLE2_CAPS + _SINGLE_CAPS:
         seen.clear()
         cap = single_variable_cap(mask, t1111)
-        vs = range(1, cap + _CAP_MARGIN + 2)
+        vs = range(cap + 2)
         assert seen == [_m_scaled(_line_point(mask, t1111, v)) for v in vs]
         at = _m_line(mask, t1111)
         assert [at(v) for v in vs] == seen
 
 
-def test_cap_walk_still_checks_its_margin(monkeypatch):
-    # a matrix reported feasible 30 values above the cap is a feasibility
-    # island, which only the margin re-check can see
-    cap = single_variable_cap(0b0001)
-    island = _m_scaled(_line_point(0b0001, 0, cap + 30))
+def test_every_cap_line_is_feasible_up_to_its_cap_and_not_above():
+    # oracle for the interval argument: _m_scaled at each point of the line,
+    # with no affine form; a seeded sample of the tested matrices is decided
+    # by psd_check as well
+    feasible, infeasible = [], []
+    for mask, t1111 in _TABLE2_CAPS + _SINGLE_CAPS:
+        cap = single_variable_cap(mask, t1111)
+        for v in range(cap + 61):
+            m = _m_scaled(_line_point(mask, t1111, v))
+            assert bounds._is_psd4(m) == (v <= cap), (mask, t1111, v)
+            (feasible if v <= cap else infeasible).append(m)
+    rng = random.Random(27)
+    for verdict, sample in ((True, rng.sample(feasible, 100)), (False, rng.sample(infeasible, 100))):
+        for m in sample:
+            assert linalg.psd_check(linalg.SymMatrix(m)).is_psd == verdict
+
+
+def test_table2_makes_one_psd_test_per_line_point(monkeypatch):
+    # each of the 160 lines tests v = 0 .. cap + 1 and nothing more; a
+    # sampled re-check above the caps would multiply this
+    calls = 0
     psd4 = bounds._is_psd4
-    monkeypatch.setattr(bounds, "_is_psd4", lambda m: m == island or psd4(m))
-    with pytest.raises(AssertionError, match=f"feasibility island above the cap {cap} for mask 1"):
-        single_variable_cap(0b0001)
+
+    def counted(m):
+        nonlocal calls
+        calls += 1
+        return psd4(m)
+
+    monkeypatch.setattr(bounds, "_is_psd4", counted)
+    rows = table2()
+    assert calls == sum(sum(r.caps) + 2 * len(r.caps) for r in rows) <= 620
+
+
+_NOT_AFFINE = (
+    "from equiangular import bounds\n"
+    "m_scaled = bounds._m_scaled\n"
+    "def curved(t):\n"
+    "    m = m_scaled(t)\n"
+    "    m[2][2] += t.get(1, 0) ** 2  # a v^2 term in one entry\n"
+    "    return m\n"
+    "bounds._m_scaled = curved\n"
+    "bounds.single_variable_cap(0b0001)\n"
+)
+
+_STARTS_INFEASIBLE = (
+    "from equiangular import bounds\n"
+    "start = bounds._m_scaled({15: 0, 1: 0})\n"
+    "psd4 = bounds._is_psd4\n"
+    "bounds._is_psd4 = lambda m: m != start and psd4(m)\n"
+    "bounds.single_variable_cap(0b0001)\n"
+)
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(equiangular.__path__[0]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+def test_cap_walk_refuses_a_line_that_is_not_affine(flags):
+    # the walk reads M(v) = M(0) + v*D1 off three samples, so a curved line
+    # must be refused, not walked
+    proc = _run_python(*flags, "-c", _NOT_AFFINE)
+    assert proc.returncode != 0
+    assert "AssertionError: the Schur matrix is not affine along mask 1 at t1111 = 0" in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+def test_cap_walk_refuses_a_line_that_starts_infeasible(flags):
+    # the feasible values form an interval only from a feasible start
+    proc = _run_python(*flags, "-c", _STARTS_INFEASIBLE)
+    assert proc.returncode != 0
+    assert "AssertionError: the line of mask 1 at t1111 = 0 starts infeasible" in proc.stderr
 
 
 def _product_scan(cls):

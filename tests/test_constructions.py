@@ -4,7 +4,9 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,9 @@ def test_octad_counts(witt):
 
 
 def test_octad_intersections_and_steiner(witt):
+    # oracle for the derivation in golay_octads, which tests no pair: every
+    # two octads meet in 0, 2 or 4 points, and every 5-subset of the 24
+    # points lies in exactly one octad
     masks = []
     for o in witt.octads.octads:
         m = 0
@@ -55,15 +60,34 @@ def test_octad_intersections_and_steiner(witt):
         for j in range(i + 1, len(masks)):
             sizes.add((masks[i] & masks[j]).bit_count())
     assert sizes == {0, 2, 4}
-    # counting identity: 759 octads x C(8,5) five-subsets, none repeated,
-    # exhausts all C(24,5) five-subsets: the Steiner property in full
-    assert 759 * 56 == 42504
-    # spot-check directly on random 5-subsets
-    rng = random.Random(50)
-    for _ in range(10_000):
-        pts = frozenset(rng.sample(range(1, 25), 5))
-        containing = [m for m in masks if all(m >> (p - 1) & 1 for p in pts)]
-        assert len(containing) == 1
+    covered = Counter(
+        frozenset(five) for o in witt.octads.octads for five in itertools.combinations(o, 5)
+    )
+    assert len(covered) == comb(24, 5) and set(covered.values()) == {1}
+
+
+# row 0 of the generator with point 1 moved to point 24: still weight 8 and
+# independent of the other rows, but the span is no longer the Golay code
+_MOVED_POINT = (
+    "from equiangular import constructions\n"
+    "rows = constructions.GOLAY_GENERATOR\n"
+    "constructions.GOLAY_GENERATOR = (rows[0] ^ 1 ^ 1 << 23,) + rows[1:]\n"
+    "constructions.golay_octads()\n"
+)
+
+
+def test_golay_generator_with_one_changed_row_is_refused(monkeypatch):
+    rows = constructions.GOLAY_GENERATOR
+    assert rows[0] & 1 and not rows[0] >> 23 & 1
+    monkeypatch.setattr(constructions, "GOLAY_GENERATOR", (rows[0] ^ 1 ^ 1 << 23,) + rows[1:])
+    with pytest.raises(AssertionError, match="not the Golay weight distribution: .*6: 21"):
+        constructions.golay_octads.__wrapped__()
+
+
+def test_golay_generator_with_one_changed_row_is_refused_under_optimize():
+    proc = _run_python("-O", "-c", _MOVED_POINT)
+    assert proc.returncode != 0
+    assert "AssertionError: not the Golay weight distribution: {0: 1, 6: 21," in proc.stderr
 
 
 def test_base_octads_are_octads(witt):
